@@ -224,7 +224,6 @@ CciPort::issue(Op op)
                      _fabric._maxOutstanding);
     Channel &ch = op.to_nic ? _fabric._toNic : _fabric._toHost;
     const Tick extra = op.extra_latency;
-    auto done = std::move(op.done);
     if (_engine) {
         // Sharded mode: channel arbitration state is owned by the
         // fabric domain, so hand the request over as an apply (it runs
@@ -238,7 +237,7 @@ CciPort::issue(Op op)
         _engine->postApply(
             _shard,
             [this, &ch, lines, extra, streamed,
-             done = std::move(done)]() mutable {
+             done = std::move(op.done)]() mutable {
                 ch.request(_id, lines,
                            [this, extra, done = std::move(done)]() mutable {
                                _engine->postCross(
@@ -254,18 +253,24 @@ CciPort::issue(Op op)
             });
         return;
     }
-    ch.request(_id, op.lines,
-               [this, extra, done = std::move(done)]() mutable {
-                   // Channel service finished; propagation takes `extra`.
-                   _fabric._eq.schedule(extra,
-                                        [this, done = std::move(done)]() {
-                                            completed();
-                                            if (done)
-                                                done();
-                                        },
-                                        sim::Priority::Hardware);
-               },
-               op.streamed);
+    // Park the completion instead of capturing it: a closure holding an
+    // EventFn cannot fit the inline buffer, so capturing `done` would
+    // heap-allocate both the grant and the arrival closure.
+    const sim::SlotTable<EventFn>::Slot slot = _done.park(std::move(op.done));
+    auto granted = [this, extra, slot] {
+        // Channel service finished; propagation takes `extra`.
+        auto arrived = [this, slot] {
+            EventFn done = _done.take(slot);
+            completed();
+            if (done)
+                done();
+        };
+        static_assert(sim::EventClosure::fitsInline<decltype(arrived)>());
+        _fabric._eq.schedule(extra, std::move(arrived),
+                             sim::Priority::Hardware);
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(granted)>());
+    ch.request(_id, op.lines, std::move(granted), op.streamed);
 }
 
 void

@@ -24,6 +24,7 @@
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/ownership.hh"
+#include "sim/slot_table.hh"
 
 namespace dagger::sim {
 class ShardedEngine;
@@ -125,6 +126,9 @@ class CciPort
     DAGGER_OWNED_BY(node) unsigned _inFlight = 0;
     /// ops waiting for an outstanding slot
     DAGGER_OWNED_BY(node) std::deque<Op> _pendingWindow;
+    /// completions of issued transactions (single-queue mode), at most
+    /// one per outstanding slot
+    DAGGER_OWNED_BY(node) sim::SlotTable<EventFn> _done;
 
     DAGGER_OWNED_BY(node) std::uint64_t _fetchTxns = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _postTxns = 0;

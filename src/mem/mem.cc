@@ -2,4 +2,3 @@
 // exists so dagger_mem is an ordinary static library target.
 #include "mem/direct_mapped_cache.hh"
 #include "mem/hcc.hh"
-#include "mem/llc_model.hh"

@@ -6,6 +6,33 @@
 
 namespace dagger::rpc {
 
+template <typename Fn>
+void
+RpcClient::executeWithMessage(sim::Tick cost, proto::RpcMessage &&msg,
+                              Fn fn)
+{
+    // _thread runs its events in execute() order, so the event
+    // scheduled here pops exactly the message pushed here.  Parking the
+    // message instead of capturing it keeps the closure inline.
+    _threadMsgs.push_back(std::move(msg));
+    auto run = [this, fn] {
+        proto::RpcMessage m = std::move(_threadMsgs.front());
+        _threadMsgs.pop_front();
+        fn(m);
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(run)>());
+    _thread.execute(cost, std::move(run));
+}
+
+void
+RpcClient::sendUntracked(const proto::RpcMessage &msg)
+{
+    if (_node.flow(_flow).tx.push(msg))
+        ++_sent;
+    else
+        ++_sendFailures;
+}
+
 RpcClient::RpcClient(DaggerNode &node, unsigned flow, HwThread &thread)
     : _node(node), _flow(flow), _thread(thread)
 {
@@ -84,14 +111,11 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
     proto::PayloadBuf payload(data, len);
     if (_bestEffort) {
         // Fire and forget: no pending entry, no completion tracking.
-        proto::RpcMessage msg(conn, rpc_id, fn, proto::MsgType::Request,
-                              std::move(payload));
-        _thread.execute(cost, [this, msg = std::move(msg)]() {
-            if (_node.flow(_flow).tx.push(msg))
-                ++_sent;
-            else
-                ++_sendFailures;
-        });
+        executeWithMessage(
+            cost,
+            proto::RpcMessage(conn, rpc_id, fn, proto::MsgType::Request,
+                              std::move(payload)),
+            [this](proto::RpcMessage &msg) { sendUntracked(msg); });
         return;
     }
     Pending entry;
@@ -106,11 +130,9 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
         entry.payload = payload;
     }
     _pending.emplace(rpc_id, std::move(entry));
-    proto::RpcMessage msg(conn, rpc_id, fn, proto::MsgType::Request,
-                          std::move(payload));
 
     const sim::Tick issued_at = _node.eq().now();
-    _thread.execute(cost, [this, rpc_id, issued_at, msg = std::move(msg)]() {
+    auto send = [this, rpc_id, issued_at](proto::RpcMessage &msg) {
         auto it = _pending.find(rpc_id);
         if (it == _pending.end())
             return; // cancelled
@@ -142,7 +164,12 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
             }
             armCallTimer(rpc_id, _retry.timeout);
         }
-    });
+    };
+    executeWithMessage(cost,
+                       proto::RpcMessage(conn, rpc_id, fn,
+                                         proto::MsgType::Request,
+                                         std::move(payload)),
+                       send);
 }
 
 sim::Tick
@@ -216,7 +243,7 @@ RpcClient::resend(proto::RpcId rpc_id)
                      _node.nicDev().cciPort().hostPollPenalty();
     if (_shared)
         cost += sys.swCost().srqLockCost;
-    _thread.execute(cost, [this, rpc_id, msg = std::move(msg)]() {
+    auto send = [this, rpc_id](proto::RpcMessage &msg) {
         auto it = _pending.find(rpc_id);
         if (it == _pending.end())
             return; // resolved while the resend was queued
@@ -238,7 +265,8 @@ RpcClient::resend(proto::RpcId rpc_id)
             if (_retry.enabled())
                 armCallTimer(rpc_id, _retry.timeout);
         }
-    });
+    };
+    executeWithMessage(cost, std::move(msg), send);
 }
 
 void
@@ -278,14 +306,10 @@ RpcClient::callOneWay(proto::FnId fn, const void *data, std::size_t len)
                      _node.nicDev().cciPort().hostPollPenalty();
     if (_shared)
         cost += sys.swCost().srqLockCost;
-    proto::RpcMessage msg(_conn, _nextRpcId++, fn, proto::MsgType::Request,
-                          data, len);
-    _thread.execute(cost, [this, msg = std::move(msg)]() {
-        if (_node.flow(_flow).tx.push(msg))
-            ++_sent;
-        else
-            ++_sendFailures;
-    });
+    executeWithMessage(cost,
+                       proto::RpcMessage(_conn, _nextRpcId++, fn,
+                                         proto::MsgType::Request, data, len),
+                       [this](proto::RpcMessage &msg) { sendUntracked(msg); });
 }
 
 void
@@ -301,42 +325,39 @@ RpcClient::processResponses()
         return;
     }
     const SwCost &costs = _node.system().swCost();
-    _thread.execute(costs.completionCost,
-                    [this, msg = std::move(msg)]() mutable {
-                        auto it = _pending.find(msg.rpcId());
-                        if (it == _pending.end()) {
-                            if (_retriedDone.count(msg.rpcId())) {
-                                // Duplicate or post-timeout response of
-                                // a retried call: accounted, not an
-                                // unknown orphan — and never delivered
-                                // twice.
-                                ++_lateResponses;
-                                _node.system()
-                                    .reliability()
-                                    .lateResponses.inc();
-                            } else {
-                                ++_orphans;
-                            }
-                        } else {
-                            ++_responses;
-                            _node.system().reliability().completions.inc();
-                            const sim::Tick now = _node.eq().now();
-                            if (it->second.sentAt)
-                                _latency.record(now - it->second.sentAt);
-                            if (it->second.attempt > 0)
-                                rememberRetried(msg.rpcId());
-                            ResponseCb cb = std::move(it->second.cb);
-                            StatusCb scb = std::move(it->second.scb);
-                            _pending.erase(it);
-                            if (scb)
-                                scb(CallStatus::Ok, msg);
-                            else if (cb)
-                                cb(msg);
-                            else
-                                _cq.push(std::move(msg));
-                        }
-                        processResponses();
-                    });
+    auto complete = [this](proto::RpcMessage &msg) {
+        auto it = _pending.find(msg.rpcId());
+        if (it == _pending.end()) {
+            if (_retriedDone.count(msg.rpcId())) {
+                // Duplicate or post-timeout response of a retried call:
+                // accounted, not an unknown orphan — and never
+                // delivered twice.
+                ++_lateResponses;
+                _node.system().reliability().lateResponses.inc();
+            } else {
+                ++_orphans;
+            }
+        } else {
+            ++_responses;
+            _node.system().reliability().completions.inc();
+            const sim::Tick now = _node.eq().now();
+            if (it->second.sentAt)
+                _latency.record(now - it->second.sentAt);
+            if (it->second.attempt > 0)
+                rememberRetried(msg.rpcId());
+            ResponseCb cb = std::move(it->second.cb);
+            StatusCb scb = std::move(it->second.scb);
+            _pending.erase(it);
+            if (scb)
+                scb(CallStatus::Ok, msg);
+            else if (cb)
+                cb(msg);
+            else
+                _cq.push(std::move(msg));
+        }
+        processResponses();
+    };
+    executeWithMessage(costs.completionCost, std::move(msg), complete);
 }
 
 RpcClient &

@@ -14,6 +14,7 @@
 #define DAGGER_RPC_CLIENT_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <set>
 #include <unordered_map>
@@ -180,6 +181,14 @@ class RpcClient
 
     void installRxNotify();
     void processResponses();
+    /**
+     * Charge @p cost on the client's thread, then run @p fn with
+     * @p msg.  The message waits in _threadMsgs, not in the closure.
+     */
+    template <typename Fn>
+    void executeWithMessage(sim::Tick cost, proto::RpcMessage &&msg, Fn fn);
+    /** Push @p msg with no completion tracking (best-effort, one-way). */
+    void sendUntracked(const proto::RpcMessage &msg);
     void issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
                    std::size_t len, ResponseCb cb, StatusCb scb);
     void armCallTimer(proto::RpcId rpc_id, sim::Tick timeout);
@@ -224,6 +233,9 @@ class RpcClient
      *  Bounded; ordered so eviction is deterministic. */
     DAGGER_OWNED_BY(node) std::set<proto::RpcId> _retriedDone;
     static constexpr std::size_t kRetriedDoneCap = 1024;
+
+    /** Messages of scheduled _thread events, in execute() order. */
+    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _threadMsgs;
 
     DAGGER_OWNED_BY(node) CompletionQueue _cq;
     DAGGER_OWNED_BY(node) sim::Histogram _latency{"rpc_rtt"};

@@ -18,11 +18,7 @@ WorkerPool::submit(sim::Tick cost, sim::EventFn fn)
     ++_submitted;
     ++_inflight;
     const sim::Tick delay = _sys.swCost().workerHandoffDelay;
-    _handoff.push_back(
-        Handoff{cost, [this, fn = std::move(fn)]() mutable {
-                    --_inflight;
-                    fn();
-                }});
+    _handoff.push_back(Handoff{cost, std::move(fn)});
     _eq.schedule(delay, [this] { dispatchOne(); });
 }
 
@@ -37,7 +33,16 @@ WorkerPool::dispatchOne()
     for (HwThread *w : _workers)
         if (w->busyUntil() < best->busyUntil())
             best = w;
-    best->execute(h.cost, std::move(h.fn));
+    // Workers finish out of order, so the work waits in a slot table
+    // rather than inside the (then oversized) closure.
+    const auto slot = _work.park(std::move(h.fn));
+    auto run = [this, slot] {
+        sim::EventFn fn = _work.take(slot);
+        --_inflight;
+        fn();
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(run)>());
+    best->execute(h.cost, std::move(run));
 }
 
 RpcServerThread::RpcServerThread(DaggerNode &node, unsigned flow,
@@ -113,38 +118,55 @@ RpcServerThread::processNext()
     HandlerOutcome outcome = it->second(msg);
     ++_processed;
 
+    // The request and its outcome wait in _dispatchJobs until the
+    // dispatch thread gets to them: _dispatch runs its events in
+    // execute() order, so each event below pops the job pushed with it.
+    _dispatchJobs.push_back(Job{std::move(msg), std::move(outcome)});
     if (_pool) {
         // Optimized model: dispatch pays poll + deser + handoff; the
         // worker pays the handler and response-send costs.
         const sim::Tick dispatch_cost = costs.pollCost +
             costs.deserializeCost + costs.workerHandoffCpu;
-        _dispatch.execute(
-            dispatch_cost,
-            [this, msg = std::move(msg), outcome = std::move(outcome)]() mutable {
-                const sim::Tick worker_cost = outcome.cost +
-                    (outcome.respond
-                         ? _node.system().sendCpuCost(_node)
-                         : 0);
-                _pool->submit(worker_cost,
-                              [this, msg = std::move(msg),
-                               outcome = std::move(outcome)]() mutable {
-                                  finishRequest(msg, std::move(outcome));
-                              });
-                processNext();
-            });
+        auto handoff = [this] {
+            Job job = popDispatchJob();
+            const sim::Tick worker_cost = job.outcome.cost +
+                (job.outcome.respond ? _node.system().sendCpuCost(_node)
+                                     : 0);
+            // Workers finish out of order: park the job by slot.
+            const auto slot = _workerJobs.park(std::move(job));
+            auto work = [this, slot] {
+                Job done = _workerJobs.take(slot);
+                finishRequest(done.req, std::move(done.outcome));
+            };
+            static_assert(sim::EventClosure::fitsInline<decltype(work)>());
+            _pool->submit(worker_cost, std::move(work));
+            processNext();
+        };
+        static_assert(sim::EventClosure::fitsInline<decltype(handoff)>());
+        _dispatch.execute(dispatch_cost, std::move(handoff));
         return;
     }
 
     // Simple model: everything in the dispatch thread.
+    const HandlerOutcome &queued = _dispatchJobs.back().outcome;
     const sim::Tick total = costs.pollCost + costs.deserializeCost +
-        outcome.cost +
-        (outcome.respond ? _node.system().sendCpuCost(_node) : 0);
-    _dispatch.execute(total,
-                      [this, msg = std::move(msg),
-                       outcome = std::move(outcome)]() mutable {
-                          finishRequest(msg, std::move(outcome));
-                          processNext();
-                      });
+        queued.cost +
+        (queued.respond ? _node.system().sendCpuCost(_node) : 0);
+    auto handle = [this] {
+        Job job = popDispatchJob();
+        finishRequest(job.req, std::move(job.outcome));
+        processNext();
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(handle)>());
+    _dispatch.execute(total, std::move(handle));
+}
+
+RpcServerThread::Job
+RpcServerThread::popDispatchJob()
+{
+    Job job = std::move(_dispatchJobs.front());
+    _dispatchJobs.pop_front();
+    return job;
 }
 
 void
@@ -152,18 +174,23 @@ RpcServerThread::respondLater(proto::ConnId conn, proto::RpcId rpc,
                               proto::FnId fn, const void *data,
                               std::size_t len)
 {
-    proto::RpcMessage resp(conn, rpc, fn, proto::MsgType::Response, data,
-                           len);
-    _dispatch.execute(_node.system().sendCpuCost(_node),
-                      [this, resp = std::move(resp)]() mutable {
-                          TxRing &tx = _node.flow(_flow).tx;
-                          if (!_txBacklog.empty() || !tx.push(resp)) {
-                              ++_txBlocked;
-                              _txBacklog.push_back(std::move(resp));
-                              return;
-                          }
-                          ++_responsesSent;
-                      });
+    // Like the dispatch jobs, the response waits in a FIFO side queue
+    // that the dispatch thread's events drain in order.
+    _lateResponses.emplace_back(conn, rpc, fn, proto::MsgType::Response,
+                                data, len);
+    auto send = [this] {
+        proto::RpcMessage resp = std::move(_lateResponses.front());
+        _lateResponses.pop_front();
+        TxRing &tx = _node.flow(_flow).tx;
+        if (!_txBacklog.empty() || !tx.push(resp)) {
+            ++_txBlocked;
+            _txBacklog.push_back(std::move(resp));
+            return;
+        }
+        ++_responsesSent;
+    };
+    static_assert(sim::EventClosure::fitsInline<decltype(send)>());
+    _dispatch.execute(_node.system().sendCpuCost(_node), std::move(send));
 }
 
 void

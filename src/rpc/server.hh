@@ -29,6 +29,7 @@
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
 #include "sim/check.hh"
+#include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
 namespace dagger::rpc {
@@ -111,6 +112,8 @@ class WorkerPool
      *  scheduled handoff event captures only `this`; the fixed delay
      *  makes event order == submit order == deque order (FIFO). */
     DAGGER_OWNED_BY(node) std::deque<Handoff> _handoff;
+    /** Work placed on a worker and waiting for it to run. */
+    DAGGER_OWNED_BY(node) sim::SlotTable<sim::EventFn> _work;
     DAGGER_OWNED_BY(node) std::uint64_t _submitted = 0;
     DAGGER_OWNED_BY(node) std::size_t _inflight = 0;
 };
@@ -175,7 +178,15 @@ class RpcServerThread
     HwThread &dispatchThread() { return _dispatch; }
 
   private:
+    /** A handled request whose response-side work is still queued. */
+    struct Job
+    {
+        proto::RpcMessage req;
+        HandlerOutcome outcome;
+    };
+
     void processNext();
+    Job popDispatchJob();
     void finishRequest(const proto::RpcMessage &req, HandlerOutcome outcome);
     void flushResponses();
 
@@ -188,6 +199,12 @@ class RpcServerThread
     DAGGER_OWNED_BY(node) bool _rxScheduled = false;
     DAGGER_OWNED_BY(node) bool _paused = false;
     DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _txBacklog;
+    /** Jobs of scheduled _dispatch events, in execute() order. */
+    DAGGER_OWNED_BY(node) std::deque<Job> _dispatchJobs;
+    /** respondLater() responses of scheduled _dispatch events. */
+    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _lateResponses;
+    /** Jobs handed to the worker pool (they finish out of order). */
+    DAGGER_OWNED_BY(node) sim::SlotTable<Job> _workerJobs;
     DAGGER_OWNED_BY(node) std::uint64_t _processed = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _responsesSent = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _txBlocked = 0;

@@ -176,6 +176,10 @@ class DaggerSystem
         return _engine ? _engine->executed() : _eq.executed();
     }
 
+    /** Pool/scheduler stats aggregated over every domain queue (the
+     *  sim.events.* gauges, plus heapClosures). */
+    sim::EventQueue::EngineStats engineStats() const;
+
     /**
      * The system-wide metric registry.  Every component registers its
      * statistics here at construction: "fabric.*", "tor.*",
@@ -205,9 +209,6 @@ class DaggerSystem
         net::NodeId client;
         net::NodeId server;
     };
-
-    /** Pool/scheduler stats aggregated over every domain queue. */
-    sim::EventQueue::EngineStats engineStats() const;
 
     sim::MetricRegistry _metrics; ///< outlives everything registered in it
     ReliabilityStats _reliability;

@@ -71,6 +71,8 @@ EventQueue::scheduleAt(Tick when, EventFn &&fn, Priority prio)
         _spillFn(_spillCtx, when, std::move(fn), prio);
         return;
     }
+    if (!fn.inlineStored())
+        ++_stats.heapClosures;
     // A current-frame admission lands in a near-random bucket of the
     // wheel; start that header's line fill while the pool allocation
     // below proceeds.
@@ -137,13 +139,15 @@ EventQueue::admitWheel(const HeapEntry &entry)
     // sorted (a sub-bucket delay, rare): that one inserts in place to
     // keep the sorted suffix valid.
     const std::uint64_t absBucket = entry.when >> kBucketBits;
-    auto &bucket = _buckets[absBucket & (kWheelBuckets - 1)];
+    const std::size_t slot = absBucket & (kWheelBuckets - 1);
+    auto &bucket = _buckets[slot];
     if (absBucket == _sortedAbs && !bucket.empty())
         bucket.insert(std::upper_bound(bucket.begin(), bucket.end(),
                                        entry, LaterEntry{}),
                       entry);
     else
         bucket.push_back(entry);
+    _occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     if (++_wheelCount == 1 || absBucket < _scanAbs)
         _scanAbs = absBucket;
 }
@@ -199,33 +203,52 @@ EventQueue::refill(Tick limit)
     }
 }
 
+std::uint64_t
+EventQueue::earliestWheelBucket() const
+{
+    // No nonempty bucket lies below the scan position or below now.
+    const std::uint64_t abs = std::max(_scanAbs, _now >> kBucketBits);
+    const std::size_t slot = abs & (kWheelBuckets - 1);
+    // Dense workloads find their next event right here: one header
+    // read, no bitmap search.
+    if (!_buckets[slot].empty())
+        return abs;
+    // Every wheel event lies in _curFrame, whose buckets occupy the
+    // slots in ascending order, so the search runs forward from `slot`
+    // to the end of the bitmap and never wraps.
+    std::size_t w = slot >> 6;
+    std::uint64_t word = _occupied[w] & (~std::uint64_t{0} << (slot & 63));
+    while (word == 0) {
+        ++w;
+        DAGGER_INVARIANT(w < kOccupancyWords,
+                         "occupancy bitmap is empty past the scan position "
+                         "with ", _wheelCount, " wheel events pending");
+        word = _occupied[w];
+    }
+    return abs - slot + (w << 6) +
+        static_cast<unsigned>(std::countr_zero(word));
+}
+
 std::vector<EventQueue::HeapEntry> *
 EventQueue::peekWheel()
 {
     if (_wheelCount == 0)
         return nullptr;
-    std::uint64_t abs = std::max(_scanAbs, _now >> kBucketBits);
-    [[maybe_unused]] const std::uint64_t start = abs;
-    for (;;) {
-        auto &bucket = _buckets[abs & (kWheelBuckets - 1)];
-        if (!bucket.empty()) {
-            if (abs != _sortedAbs) {
-                // First touch by the scan: sort descending so pops are
-                // pop_back and the earliest event sits at back().
-                std::sort(bucket.begin(), bucket.end(), LaterEntry{});
-                _sortedAbs = abs;
-            }
-            _scanAbs = abs;
-            // This bucket's back is the global minimum; warm its
-            // pooled slot while the limit check runs.
-            DAGGER_PREFETCH_W(bucket.back().ev);
-            return &bucket;
-        }
-        ++abs;
-        DAGGER_INVARIANT(abs - start <= kWheelBuckets,
-                         "timing-wheel scan overran the horizon with ",
-                         _wheelCount, " events pending");
+    const std::uint64_t abs = earliestWheelBucket();
+    auto &bucket = _buckets[abs & (kWheelBuckets - 1)];
+    if (abs != _sortedAbs) {
+        // First touch by the scan: sort descending so pops are
+        // pop_back and the earliest event sits at back().  A lone
+        // event is already sorted.
+        if (bucket.size() > 1)
+            std::sort(bucket.begin(), bucket.end(), LaterEntry{});
+        _sortedAbs = abs;
     }
+    _scanAbs = abs;
+    // This bucket's back is the global minimum; warm its pooled slot
+    // while the limit check runs.
+    DAGGER_PREFETCH_W(bucket.back().ev);
+    return &bucket;
 }
 
 bool
@@ -250,6 +273,10 @@ EventQueue::stepBefore(Tick limit, std::uint64_t tie_bound)
 
     bucket->pop_back();
     --_wheelCount;
+    if (bucket->empty()) {
+        const std::size_t slot = (when >> kBucketBits) & (kWheelBuckets - 1);
+        _occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    }
 
     DAGGER_INVARIANT(when >= _now,
                      "simulated time moved backwards: event at ", when,
@@ -312,16 +339,8 @@ Tick
 EventQueue::nextEventLowerBound() const
 {
     if (_wheelCount != 0) {
-        // The wheel minimum is the global minimum; scan forward from
-        // the last scan position (no nonempty bucket lies below it).
-        std::uint64_t abs = std::max(_scanAbs, _now >> kBucketBits);
-        [[maybe_unused]] const std::uint64_t start = abs;
-        for (;; ++abs) {
-            if (!_buckets[abs & (kWheelBuckets - 1)].empty())
-                return std::max<Tick>(abs << kBucketBits, _now);
-            DAGGER_INVARIANT(abs - start <= kWheelBuckets,
-                             "lower-bound scan overran the horizon");
-        }
+        // The wheel minimum is the global minimum.
+        return std::max<Tick>(earliestWheelBucket() << kBucketBits, _now);
     }
     Tick lb = UINT64_MAX;
     if (_frameCount != 0) {

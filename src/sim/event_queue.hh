@@ -23,8 +23,11 @@
  * The aligned-frame split is what makes pops cheap: every level-2/3
  * event is in a strictly later frame than every wheel event, so the
  * wheel minimum IS the global minimum and a pop never merges across
- * levels, never sifts a many-thousand-entry heap, and only pays for a
- * scan plus a small in-bucket sift.  Event records are carved from a
+ * levels and never sifts a many-thousand-entry heap.  Finding the
+ * earliest nonempty bucket is scan-free: a 4096-bit occupancy bitmap
+ * (one bit per bucket) is searched a word at a time with countr_zero,
+ * after a check of the bucket at the scan position, which is where
+ * dense workloads find their next event.  Event records are carved from a
  * free-list pool and carry a small-buffer EventClosure, so
  * steady-state scheduling of the member-function + `this` callbacks
  * that dominate the NIC/fabric models performs no heap allocation.
@@ -34,7 +37,7 @@
  *
  * The dispatch order is provably identical to the old single binary
  * heap: within the current frame distinct absolute buckets map to
- * distinct slots (so the forward scan attributes each slot to exactly
+ * distinct slots (so the bitmap search attributes each slot to exactly
  * one bucket), a sorted bucket yields its events in (tick, priority,
  * seq) order, and cascading is pure data movement that happens before
  * any same-frame event can run.  Because the (tick, priority, seq)
@@ -45,6 +48,7 @@
 #ifndef DAGGER_SIM_EVENT_QUEUE_HH
 #define DAGGER_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -99,7 +103,10 @@ class EventQueue
     /** Events carved per pool block. */
     static constexpr std::size_t kPoolBlockEvents = 512;
 
-    /** Allocator / scheduler counters, exported as sim.events.* gauges. */
+    /**
+     * Allocator / scheduler counters.  All but heapClosures are
+     * exported as sim.events.* gauges.
+     */
     struct EngineStats
     {
         std::uint64_t poolHits = 0;    ///< events served from the free list
@@ -109,6 +116,10 @@ class EventQueue
         std::uint64_t frameAdmits = 0; ///< events parked in a future frame
         std::uint64_t heapAdmits = 0;  ///< events admitted to the far heap
         std::uint64_t maxPending = 0;  ///< high-water mark of pending()
+        /** Events whose closure outgrew EventClosure's inline buffer
+         *  (one heap allocation each).  Not a registry gauge: every
+         *  registry entry is part of the simulated-results digests. */
+        std::uint64_t heapClosures = 0;
     };
 
     EventQueue() : _buckets(kWheelBuckets), _frames(kFrames) {}
@@ -308,6 +319,13 @@ class EventQueue
     std::vector<HeapEntry> *peekWheel();
 
     /**
+     * Absolute number of the earliest nonempty wheel bucket.  Requires
+     * a nonempty wheel; checks the bucket at the scan position first
+     * and searches the occupancy bitmap only when it is empty.
+     */
+    std::uint64_t earliestWheelBucket() const;
+
+    /**
      * Run the earliest event if its key is strictly before
      * (@p limit, @p tie_bound): an earlier tick, or the same tick with
      * a smaller packed (priority, seq) key.
@@ -336,12 +354,17 @@ class EventQueue
     // Cascading scheduler state.  The wheel (_buckets) holds only
     // events whose frame (when >> kFrameShift) equals _curFrame;
     // _scanAbs is an absolute bucket number with the invariant that no
-    // nonempty bucket lies below it, so the wheel scan is amortized
-    // O(1) per pop.  _frames[f & (kFrames-1)] parks events of future
+    // nonempty bucket lies below it.  Bit s of _occupied is set exactly
+    // when bucket slot s is nonempty, so the next event is found by a
+    // word-wise bitmap search from the scan position, never by walking
+    // empty buckets.  _frames[f & (kFrames-1)] parks events of future
     // frame f unsorted; _far holds everything at least kFrames frames
     // out.  refill() keeps _curFrame <= frame(_now) at every admission,
     // which is what lets frame index alone decide the level.
     std::vector<std::vector<HeapEntry>> _buckets;
+    /** 64-bit words in the occupancy bitmap (one bit per bucket). */
+    static constexpr std::size_t kOccupancyWords = kWheelBuckets / 64;
+    std::array<std::uint64_t, kOccupancyWords> _occupied{};
     std::size_t _wheelCount = 0;
     std::uint64_t _scanAbs = 0;
     /** Absolute bucket the scan has sorted (descending); UINT64_MAX

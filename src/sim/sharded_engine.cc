@@ -456,6 +456,7 @@ ShardedEngine::aggregateStats() const
         agg.frameAdmits += st.frameAdmits;
         agg.heapAdmits += st.heapAdmits;
         agg.maxPending = std::max(agg.maxPending, st.maxPending);
+        agg.heapClosures += st.heapClosures;
     }
     return agg;
 }

@@ -225,6 +225,8 @@ FlightApp::installHandlers()
                             _passport->serverThread().resume();
                     });
             };
+            static_assert(
+                sim::EventClosure::fitsInline<decltype(do_lookup)>());
             if (simple) {
                 out.cost = _cfg.passportCost;
                 do_lookup();
@@ -268,37 +270,42 @@ FlightApp::installHandlers()
             state->pid = r.passengerId;
             state->t0 = _checkin->node().eq().now();
 
-            auto on_part = [this, simple, state](
-                               rpc::CallStatus st,
-                               const proto::RpcMessage &m) {
-                TierResp part{};
-                if (st != rpc::CallStatus::Ok ||
-                    (m.payloadAs(part) && part.status == kDegraded))
-                    state->degraded = true;
-                if (--state->remaining > 0)
-                    return;
-                // All three resolved: blocking call to the Airport DB.
-                _toAirport->set(
-                    keyFor(state->pid), "registered",
-                    [this, simple, state](bool) {
-                        TierResp resp{state->pid,
-                                      state->degraded ? kDegraded : kOk};
-                        _checkin->serverThread().respondLater(
-                            state->conn, state->rpc, state->fn, &resp,
-                            sizeof(resp));
-                        _checkin->tracer().record(
-                            "checkin.wall",
-                            _checkin->node().eq().now() - state->t0);
-                        if (simple)
-                            _checkin->serverThread().resume();
-                    });
-            };
-            auto do_fanout = [this, state, on_part] {
+            // The leg continuation is built inside the fan-out so the
+            // fan-out closure captures only what it needs and stays
+            // within EventClosure's inline buffer on the worker pool.
+            auto do_fanout = [this, simple, state] {
+                auto on_part = [this, simple, state](
+                                   rpc::CallStatus st,
+                                   const proto::RpcMessage &m) {
+                    TierResp part{};
+                    if (st != rpc::CallStatus::Ok ||
+                        (m.payloadAs(part) && part.status == kDegraded))
+                        state->degraded = true;
+                    if (--state->remaining > 0)
+                        return;
+                    // All three resolved: blocking call to the Airport DB.
+                    _toAirport->set(
+                        keyFor(state->pid), "registered",
+                        [this, simple, state](bool) {
+                            TierResp resp{state->pid,
+                                          state->degraded ? kDegraded : kOk};
+                            _checkin->serverThread().respondLater(
+                                state->conn, state->rpc, state->fn, &resp,
+                                sizeof(resp));
+                            _checkin->tracer().record(
+                                "checkin.wall",
+                                _checkin->node().eq().now() - state->t0);
+                            if (simple)
+                                _checkin->serverThread().resume();
+                        });
+                };
                 TierReq fwd{state->pid};
                 _toFlight->callPodStatus(kProcess, fwd, on_part);
                 _toBaggage->callPodStatus(kProcess, fwd, on_part);
                 _toPassport->callPodStatus(kProcess, fwd, on_part);
             };
+            static_assert(
+                sim::EventClosure::fitsInline<decltype(do_fanout)>());
             if (simple) {
                 out.cost = _cfg.checkinCost;
                 do_fanout();

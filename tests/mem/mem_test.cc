@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the memory models: direct-mapped cache, HCC, LLC model.
+ * Tests for the memory models: direct-mapped cache and HCC.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/direct_mapped_cache.hh"
 #include "mem/hcc.hh"
-#include "mem/llc_model.hh"
 
 namespace {
 
@@ -86,34 +85,6 @@ TEST(Hcc, InvalidateForcesRefill)
     hcc.access(3);
     hcc.invalidate(3);
     EXPECT_GT(hcc.access(3), 0u);
-}
-
-TEST(LlcModel, NoForeignPressureNoSlowdown)
-{
-    LlcModel llc;
-    auto a = llc.addAgent(0.8);
-    EXPECT_DOUBLE_EQ(llc.slowdown(a), 1.0);
-}
-
-TEST(LlcModel, ForeignPressureSlowsDown)
-{
-    LlcModel llc(1.0);
-    auto a = llc.addAgent(0.2);
-    auto b = llc.addAgent(0.5);
-    EXPECT_GT(llc.slowdown(a), 1.2);
-    EXPECT_GT(llc.slowdown(b), 1.0);
-    // Quadratic onset: more pressure hurts superlinearly.
-    llc.setPressure(b, 0.1);
-    EXPECT_LT(llc.slowdown(a), 1.02);
-}
-
-TEST(LlcModel, PressureCapsAtOne)
-{
-    LlcModel llc(1.0);
-    auto a = llc.addAgent(0.0);
-    llc.addAgent(0.9);
-    llc.addAgent(0.9);
-    EXPECT_DOUBLE_EQ(llc.slowdown(a), 2.0); // 1 + 1.0 * 1^2
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <set>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -120,6 +121,74 @@ pickDelay(std::uint64_t r)
     }
 }
 
+/**
+ * A sparse delay: 65-4095 buckets plus a sub-bucket offset, so the
+ * next event usually lies one or more 64-bucket bitmap words past the
+ * scan position; a few land in the same bucket or in a later frame.
+ */
+Tick
+pickSparseDelay(std::uint64_t r)
+{
+    switch ((r >> 40) % 8) {
+    case 0: // same-bucket follow-up
+        return r % kBucket;
+    case 1: // next frame or two
+        return kFrame + r % (2 * kFrame);
+    default: // 65..4095 buckets out: at least one whole bitmap word
+        return (65 + r % (EventQueue::kWheelBuckets - 65)) * kBucket +
+            (r >> 20) % kBucket;
+    }
+}
+
+/**
+ * Run a self-scheduling trace on the real engine and on the reference
+ * heap engine: @p chains chains start @p spacing ticks apart, and every
+ * event draws its successor's (delay, priority) from one seeded Rng.
+ * The (id, now) execution logs must be identical.
+ */
+EventQueue::EngineStats
+expectTraceMatchesReference(int chains, Tick spacing,
+                            Tick (*pick)(std::uint64_t), std::uint64_t seed)
+{
+    constexpr int kTarget = 20000;
+
+    auto trace = [&](auto &queue) {
+        Rng rng(seed);
+        std::vector<std::pair<int, Tick>> log;
+        int budget = kTarget;
+        std::function<void(int)> step = [&](int id) {
+            log.emplace_back(id, queue.now());
+            if (--budget <= 0)
+                return;
+            const std::uint64_t r = rng.next64();
+            queue.schedule(pick(r), [&step, id] { step(id); },
+                           pickPriority(r >> 13));
+        };
+        for (int c = 0; c < chains; ++c)
+            queue.schedule(static_cast<Tick>(c) * spacing,
+                           [&step, c] { step(c); }, pickPriority(c));
+        queue.runAll();
+        return log;
+    };
+
+    EventQueue eq;
+    RefQueue ref;
+    const auto got = trace(eq);
+    const auto want = trace(ref);
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+        if (got[i] != want[i]) {
+            ADD_FAILURE() << "divergence at step " << i << ": event "
+                          << got[i].first << " at " << got[i].second
+                          << ", want event " << want[i].first << " at "
+                          << want[i].second;
+            break;
+        }
+    }
+    EXPECT_EQ(eq.now(), ref.now());
+    return eq.stats();
+}
+
 TEST(EventOrderProperty, StaticBatchMatchesStableSortReference)
 {
     // One up-front batch: the reference order is a stable sort by
@@ -166,43 +235,9 @@ TEST(EventOrderProperty, StaticBatchMatchesStableSortReference)
 
 TEST(EventOrderProperty, SelfSchedulingTraceMatchesReferenceEngine)
 {
-    // Dynamic workload: every event draws its successor's (delay,
-    // priority) from a seeded Rng.  Running the identical trace logic
-    // against the reference heap engine must produce the identical
-    // (id, now) execution log — this covers admissions made while
-    // `now` advances, i.e. the wheel's rotating-window arithmetic.
-    constexpr int kSeeds = 64;
-    constexpr int kTarget = 20000;
-
-    auto trace = [](auto &queue) {
-        Rng rng(0x5eed42);
-        std::vector<std::pair<int, Tick>> log;
-        int budget = kTarget;
-        std::function<void(int)> step = [&](int id) {
-            log.emplace_back(id, queue.now());
-            if (--budget <= 0)
-                return;
-            const std::uint64_t r = rng.next64();
-            queue.schedule(pickDelay(r), [&step, id] { step(id); },
-                           pickPriority(r >> 13));
-        };
-        for (int c = 0; c < kSeeds; ++c)
-            queue.schedule(c % 128, [&step, c] { step(c); },
-                           pickPriority(c));
-        queue.runAll();
-        return log;
-    };
-
-    EventQueue eq;
-    RefQueue ref;
-    const auto got = trace(eq);
-    const auto want = trace(ref);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].first, want[i].first) << "event id at step " << i;
-        ASSERT_EQ(got[i].second, want[i].second) << "tick at step " << i;
-    }
-    EXPECT_EQ(eq.now(), ref.now());
+    // Dynamic workload: admissions made while `now` advances cover the
+    // wheel's rotating-window arithmetic.  64 dense chains.
+    expectTraceMatchesReference(64, 1, pickDelay, 0x5eed42);
 }
 
 TEST(EventOrderProperty, SameTickEventsMergeAcrossWheelAndHeap)
@@ -295,6 +330,160 @@ TEST(EventOrderProperty, RunUntilEdgeTicksAtBucketAndFrameBoundaries)
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
     EXPECT_EQ(eq.now(), kFarHorizon + 1);
     EXPECT_TRUE(eq.empty());
+}
+
+/**
+ * Brute-force twin of EventQueue::nextEventLowerBound() for a queue
+ * observed between pops.  @p pending holds the tick of every pending
+ * event.  Right after a pop the wheel frame is the frame of now(), so
+ * an earliest event in that frame sits in the wheel and the bound must
+ * be its bucket start (never below now).  Otherwise the bound is only
+ * frame/heap granular: it must lie in [now, earliest].
+ */
+void
+expectLowerBoundMatchesScan(const EventQueue &eq,
+                            const std::multiset<Tick> &pending)
+{
+    const Tick lb = eq.nextEventLowerBound();
+    if (pending.empty()) {
+        ASSERT_EQ(lb, UINT64_MAX);
+        return;
+    }
+    const Tick earliest = *pending.begin();
+    if (earliest / kFrame == eq.now() / kFrame) {
+        ASSERT_EQ(lb, std::max(eq.now(), earliest / kBucket * kBucket))
+            << "now=" << eq.now() << " earliest=" << earliest;
+    } else {
+        ASSERT_GE(lb, eq.now());
+        ASSERT_LE(lb, earliest) << "now=" << eq.now();
+    }
+}
+
+TEST(EventOrderProperty, SparseSelfSchedulingTraceMatchesReferenceEngine)
+{
+    // Few concurrent chains with wide gaps: most pops must search the
+    // occupancy bitmap across words (and across frame cascades into a
+    // wheel that just emptied) rather than find the next event at the
+    // scan position.
+    const auto stats = expectTraceMatchesReference(3, 100 * kBucket,
+                                                   pickSparseDelay, 0x5a4e5e);
+    EXPECT_GT(stats.frameAdmits, 0u);
+}
+
+TEST(EventOrderProperty, SparseLowerBoundMatchesBruteForceScan)
+{
+    // Same sparse workload, popped one event at a time; after every
+    // step the bitmap-derived lower bound must equal a brute-force
+    // scan over the ticks still pending.
+    EventQueue eq;
+    Rng rng(0xb17b0a);
+    std::multiset<Tick> pending;
+    int budget = 20000;
+    std::function<void()> step = [&] {
+        pending.erase(pending.find(eq.now()));
+        if (--budget <= 0)
+            return;
+        // Occasionally fork a second successor so the wheel holds
+        // several sparse events at once.
+        const int successors = rng.next64() % 4 == 0 ? 2 : 1;
+        for (int s = 0; s < successors; ++s) {
+            const std::uint64_t r = rng.next64();
+            const Tick delay = pickSparseDelay(r);
+            pending.insert(eq.now() + delay);
+            eq.schedule(delay, [&step] { step(); }, pickPriority(r >> 13));
+        }
+    };
+    for (Tick t : {Tick{0}, 70 * kBucket, 3000 * kBucket + 5}) {
+        pending.insert(t);
+        eq.scheduleAt(t, [&step] { step(); });
+    }
+    expectLowerBoundMatchesScan(eq, pending);
+    std::uint64_t steps = 0;
+    while (eq.runOne() && steps < 40000) {
+        ++steps;
+        expectLowerBoundMatchesScan(eq, pending);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_TRUE(eq.empty());
+    EXPECT_TRUE(pending.empty());
+}
+
+TEST(EventOrderProperty, DrainedSortedBucketIsReadmitted)
+{
+    // The scan sorts bucket b, pops its only event, and that event
+    // schedules new ones back into b (now empty, still _sortedAbs):
+    // the first re-admission appends to the empty bucket, the next
+    // ones insert in sorted position.  Order and the lower bound must
+    // both see the refilled bucket, and then skip the sparse gap to
+    // the far-away event.
+    EventQueue eq;
+    const Tick t = 700 * kBucket + 10;
+    const Tick far = 3900 * kBucket + 7;
+    std::vector<int> order;
+    std::multiset<Tick> pending{t, far};
+    auto log = [&](int id) {
+        order.push_back(id);
+        pending.erase(pending.find(eq.now()));
+    };
+    eq.scheduleAt(far, [&] { log(9); });
+    eq.scheduleAt(t, [&] {
+        log(0);
+        pending.insert({t + 1, t + 1, t + 2});
+        eq.scheduleAt(t + 1, [&] { log(2); }, Priority::Software);
+        eq.scheduleAt(t + 2, [&] { log(3); }, Priority::Hardware);
+        eq.scheduleAt(t + 1, [&] { log(1); }, Priority::Hardware);
+    });
+
+    std::vector<Tick> bounds;
+    while (eq.runOne()) {
+        bounds.push_back(eq.nextEventLowerBound());
+        expectLowerBoundMatchesScan(eq, pending);
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 9}));
+    // After the parent ran, the refilled bucket holds the minimum; once
+    // it drains again the bound jumps straight to the far bucket.
+    EXPECT_EQ(bounds.front(), t);
+    EXPECT_EQ(bounds[3], far / kBucket * kBucket);
+    EXPECT_EQ(bounds.back(), UINT64_MAX);
+}
+
+TEST(EventOrderProperty, FrameCascadeIntoEmptiedWheel)
+{
+    // Frame 0 uses high slots and then empties completely; frame 3's
+    // parked events cascade into the emptied wheel at slots both below
+    // and above the ones frame 0 used.  A stale occupancy bit left by
+    // frame 0 would point the search at an empty bucket.
+    EventQueue eq;
+    std::vector<Tick> fired;
+    std::multiset<Tick> pending;
+    auto at = [&](Tick when) {
+        pending.insert(when);
+        eq.scheduleAt(when, [&fired, &pending, &eq] {
+            fired.push_back(eq.now());
+            pending.erase(pending.find(eq.now()));
+        });
+    };
+    for (Tick slot : {100, 1000, 4000})
+        at(slot * kBucket + 3);
+    const Tick base = 3 * kFrame;
+    for (Tick slot : {50, 99, 100, 101, 2000, 4095})
+        at(base + slot * kBucket + 1);
+
+    expectLowerBoundMatchesScan(eq, pending);
+    while (eq.runOne()) {
+        expectLowerBoundMatchesScan(eq, pending);
+        if (fired.size() == 3) {
+            // Wheel empty, frame 3 still parked: the bound is the start
+            // of the parked frame.
+            EXPECT_EQ(eq.nextEventLowerBound(), base);
+        }
+    }
+    ASSERT_EQ(fired.size(), 9u);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(fired[3], base + 50 * kBucket + 1);
+    EXPECT_EQ(fired.back(), base + 4095 * kBucket + 1);
+    EXPECT_EQ(eq.stats().frameAdmits, 6u);
 }
 
 TEST(EventOrderProperty, SteadyStateSchedulingIsAllocationFree)
