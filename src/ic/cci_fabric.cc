@@ -155,7 +155,7 @@ CciPort::fetch(unsigned lines, EventFn done)
         extra += _fabric.upi().llcPollExtra;
     ++_fetchTxns;
     _linesFetched += lines;
-    submit(Op{true, lines, extra, std::move(done)});
+    submit(Op{std::move(done), extra, lines, true});
 }
 
 void
@@ -166,7 +166,7 @@ CciPort::post(unsigned lines, EventFn done)
         : _fabric.pcie().postLatency;
     ++_postTxns;
     _linesPosted += lines;
-    submit(Op{false, lines, extra, std::move(done)});
+    submit(Op{std::move(done), extra, lines, false});
 }
 
 void
@@ -195,7 +195,7 @@ void
 CciPort::rawRead(EventFn done)
 {
     // Idle reads are hardware-pipelined: no FSM transaction overhead.
-    submit(Op{true, 1, _fabric.upi().fetchLatency, std::move(done), true});
+    submit(Op{std::move(done), _fabric.upi().fetchLatency, 1, true, true});
 }
 
 void

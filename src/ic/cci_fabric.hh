@@ -13,7 +13,6 @@
 #define DAGGER_IC_CCI_FABRIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/ownership.hh"
+#include "sim/ring_queue.hh"
 #include "sim/slot_table.hh"
 
 namespace dagger::sim {
@@ -99,12 +99,13 @@ class CciPort
     friend class CciFabric;
     CciPort(CciFabric &fabric, unsigned id) : _fabric(fabric), _id(id) {}
 
+    // Closure first, as in Channel::Txn: no padding around it.
     struct Op
     {
-        bool to_nic;
-        unsigned lines;
-        Tick extra_latency;
         EventFn done;
+        Tick extra_latency;
+        unsigned lines;
+        bool to_nic;
         bool streamed = false;
     };
 
@@ -125,7 +126,7 @@ class CciPort
     DAGGER_OWNED_BY(node) PollMode _pollMode = PollMode::LocalCache;
     DAGGER_OWNED_BY(node) unsigned _inFlight = 0;
     /// ops waiting for an outstanding slot
-    DAGGER_OWNED_BY(node) std::deque<Op> _pendingWindow;
+    DAGGER_OWNED_BY(node) sim::RingQueue<Op> _pendingWindow;
     /// completions of issued transactions (single-queue mode), at most
     /// one per outstanding slot
     DAGGER_OWNED_BY(node) sim::SlotTable<EventFn> _done;

@@ -13,12 +13,12 @@
 #define DAGGER_IC_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/ownership.hh"
+#include "sim/ring_queue.hh"
 #include "sim/time.hh"
 
 namespace dagger::ic {
@@ -79,10 +79,12 @@ class Channel
     sim::OwnershipGuard &ownershipGuard() { return _guard; }
 
   private:
+    // Closure first: the 16-aligned EventFn would otherwise pad the
+    // fields around it, and doorbell-batched runs queue hundreds.
     struct Txn
     {
-        unsigned lines;
         EventFn done;
+        unsigned lines;
         bool streamed; ///< no per-transaction overhead (pipelined reads)
     };
 
@@ -95,7 +97,7 @@ class Channel
     // Arbitration state lives in the fabric/serial domain: node-side
     // ports reach it only through ShardedEngine::postApply (the grant
     // crosses back via postCross).
-    DAGGER_OWNED_BY(fabric) std::vector<std::deque<Txn>> _queues;
+    DAGGER_OWNED_BY(fabric) std::vector<sim::RingQueue<Txn>> _queues;
     DAGGER_OWNED_BY(fabric) std::vector<std::uint64_t> _grants;
     DAGGER_OWNED_BY(fabric) unsigned _rrNext = 0;
     DAGGER_OWNED_BY(fabric) bool _busy = false;

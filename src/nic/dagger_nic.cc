@@ -7,7 +7,7 @@ namespace dagger::nic {
 
 namespace {
 /// Hardware maximum frames per CCI-P transaction (auto-batch burst cap).
-constexpr std::size_t kHwMaxBatch = 16;
+constexpr std::size_t kHwMaxBatch = proto::kBurstFrames;
 /// Per-flow ingress stall capacity, in frames.  The request buffer's
 /// free-slot FIFO backpressures the ingress pipeline ("drop or stall",
 /// request_buffer.hh); we model the stall: frames wait here until a
@@ -172,9 +172,14 @@ DaggerNic::onFetched(unsigned flow, std::vector<proto::Frame> frames)
                  [this, flow, frames = std::move(frames)]() mutable {
                      FlowState &f = _flows[flow];
                      for (auto &frame : frames) {
+                         const auto need = f.partial.empty()
+                             ? frame.header.frameCount()
+                             : f.partial.front().header.frameCount();
+                         // Room for the whole message up front: the
+                         // group leaves as the packet's frame vector.
+                         if (f.partial.capacity() < need)
+                             f.partial = proto::takeBurst(need);
                          f.partial.push_back(std::move(frame));
-                         const auto need =
-                             f.partial.front().header.frameCount();
                          if (f.partial.size() < need)
                              continue;
                          if (proto::RpcMessage::framesConsistent(
@@ -191,6 +196,7 @@ DaggerNic::onFetched(unsigned flow, std::vector<proto::Frame> frames)
                          }
                          f.partial.clear();
                      }
+                     proto::recycleBurst(std::move(frames));
                      maybeFetch(flow);
                  },
                  sim::Priority::Hardware);
@@ -304,6 +310,7 @@ DaggerNic::steerMessage(net::Packet pkt)
             fs.ingress.push_back(std::move(frame));
         drainIngress(flow);
     }
+    proto::recycleBurst(std::move(pkt.frames));
     if (penalty == 0) {
         maybePost(flow);
     } else {

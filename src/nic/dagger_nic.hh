@@ -19,7 +19,6 @@
 #define DAGGER_NIC_DAGGER_NIC_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -36,6 +35,7 @@
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/ownership.hh"
+#include "sim/ring_queue.hh"
 
 namespace dagger::nic {
 
@@ -133,10 +133,10 @@ class DaggerNic
         bool fetchTimeoutArmed = false;
         bool postTimeoutArmed = false;
         unsigned outstandingFetches = 0;
-        /// egress grouping of multi-frame messages
+        /// egress grouping of multi-frame messages; becomes the packet
         std::vector<proto::Frame> partial;
         /// ingress frames stalled waiting for a request-buffer slot
-        std::deque<proto::Frame> ingress;
+        sim::RingQueue<proto::Frame> ingress;
     };
 
     sim::Tick pipelineDelay() const

@@ -9,6 +9,7 @@ RequestBuffer::RequestBuffer(std::size_t slots, unsigned flows)
 {
     dagger_assert(slots > 0, "request buffer needs slots");
     dagger_assert(flows > 0, "request buffer needs flows");
+    _freeFifo.reserve(slots);
     for (SlotId s = 0; s < slots; ++s)
         _freeFifo.push_back(s);
 }
@@ -45,8 +46,7 @@ RequestBuffer::pop(unsigned flow, std::size_t n)
     dagger_assert(flow < _flowFifos.size(), "bad flow ", flow);
     auto &fifo = _flowFifos[flow];
     const std::size_t take = std::min(n, fifo.size());
-    std::vector<proto::Frame> out;
-    out.reserve(take);
+    std::vector<proto::Frame> out = proto::takeBurst(take);
     for (std::size_t i = 0; i < take; ++i) {
         const SlotId slot = fifo.front();
         fifo.pop_front();

@@ -14,7 +14,6 @@
 #define DAGGER_NIC_REQUEST_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "sim/check.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
+#include "sim/ring_queue.hh"
 
 namespace dagger::nic {
 
@@ -52,8 +52,9 @@ class RequestBuffer
     std::size_t flowDepth(unsigned flow) const;
 
     /**
-     * Pop up to @p n frames from @p flow in FIFO order, returning the
-     * slots to the free FIFO.
+     * Pop up to @p n frames from @p flow in FIFO order, as a
+     * recyclable burst (proto::takeBurst), returning the slots to the
+     * free FIFO.
      */
     std::vector<proto::Frame> pop(unsigned flow, std::size_t n);
 
@@ -84,8 +85,8 @@ class RequestBuffer
     // Embedded in a DaggerNic: node-domain state like the rest of the
     // TX pipeline.
     DAGGER_OWNED_BY(node) std::vector<proto::Frame> _table;
-    DAGGER_OWNED_BY(node) std::deque<SlotId> _freeFifo;
-    DAGGER_OWNED_BY(node) std::vector<std::deque<SlotId>> _flowFifos;
+    DAGGER_OWNED_BY(node) sim::RingQueue<SlotId> _freeFifo;
+    DAGGER_OWNED_BY(node) std::vector<sim::RingQueue<SlotId>> _flowFifos;
     DAGGER_OWNED_BY(node) std::uint64_t _pushes = 0;
     DAGGER_OWNED_BY(node) std::uint64_t _rejections = 0;
 };

@@ -118,12 +118,16 @@ PayloadStats payloadStats();
  * beyond.  Copying a PayloadBuf never copies heap payload bytes — it
  * bumps an atomic refcount (or replicates the 48 B inline array, which
  * is part of the handle itself).
+ *
+ * The inline bytes and the heap handle share storage (the length says
+ * which is live), so a handle is 56 B and a frame 80 B: every frame
+ * queue at every hop holds a few hundred of them.
  */
 class PayloadBuf
 {
   public:
     /** Empty payload (an RPC with no argument bytes). */
-    PayloadBuf() = default;
+    PayloadBuf() noexcept {}
 
     /** Copying constructor: the write-side API edge. */
     PayloadBuf(const void *src, std::size_t len) : _len(len)
@@ -137,7 +141,7 @@ class PayloadBuf
         }
         auto heap = std::make_shared<std::vector<std::uint8_t>>(len);
         std::memcpy(heap->data(), src, len);
-        _heap = std::move(heap);
+        std::construct_at(&_heap, std::move(heap));
     }
 
     /** @p len zero bytes (sized-but-unfilled responses). */
@@ -147,7 +151,8 @@ class PayloadBuf
             return;
         detail::addBytesCopied(len);
         if (len > kFramePayload)
-            _heap = std::make_shared<std::vector<std::uint8_t>>(len);
+            std::construct_at(
+                &_heap, std::make_shared<std::vector<std::uint8_t>>(len));
         else
             std::memset(_inline.data(), 0, len);
     }
@@ -157,46 +162,33 @@ class PayloadBuf
                      bytes.size())
     {}
 
-    PayloadBuf(const PayloadBuf &other) : _len(other._len), _heap(other._heap)
-    {
-        // Heap handles leave the inline array dead weight; copy only
-        // the live prefix when it actually carries the payload.
-        if (!_heap && _len)
-            std::memcpy(_inline.data(), other._inline.data(), _len);
-        if (_len)
-            detail::addHandlePass();
-    }
+    PayloadBuf(const PayloadBuf &other) { copyFrom(other); }
 
     PayloadBuf &
     operator=(const PayloadBuf &other)
     {
-        if (this == &other)
-            return *this;
-        _len = other._len;
-        _heap = other._heap;
-        if (!_heap && _len)
-            std::memcpy(_inline.data(), other._inline.data(), _len);
-        if (_len)
-            detail::addHandlePass();
+        if (this != &other) {
+            reset();
+            copyFrom(other);
+        }
         return *this;
     }
 
-    PayloadBuf(PayloadBuf &&other) noexcept
-        : _len(other._len), _heap(std::move(other._heap))
-    {
-        if (!_heap && _len)
-            std::memcpy(_inline.data(), other._inline.data(), _len);
-    }
+    /** Moving never counts a handle pass; a moved-from heap handle is
+     *  left empty, a moved-from inline one keeps its bytes. */
+    PayloadBuf(PayloadBuf &&other) noexcept { stealFrom(other); }
 
     PayloadBuf &
     operator=(PayloadBuf &&other) noexcept
     {
-        _len = other._len;
-        _heap = std::move(other._heap);
-        if (!_heap && _len)
-            std::memcpy(_inline.data(), other._inline.data(), _len);
+        if (this != &other) {
+            reset();
+            stealFrom(other);
+        }
         return *this;
     }
+
+    ~PayloadBuf() { reset(); }
 
     /** Buffer whose payload is the bytes of POD @p value. */
     template <typename T>
@@ -222,15 +214,16 @@ class PayloadBuf
             std::memcpy(buf._inline.data(), bytes.data(), buf._len);
             return buf;
         }
-        buf._heap = std::make_shared<std::vector<std::uint8_t>>(
-            std::move(bytes));
+        std::construct_at(&buf._heap,
+                          std::make_shared<std::vector<std::uint8_t>>(
+                              std::move(bytes)));
         return buf;
     }
 
     const std::uint8_t *
     data() const
     {
-        return _heap ? _heap->data() : _inline.data();
+        return onHeap() ? _heap->data() : _inline.data();
     }
 
     std::size_t size() const { return _len; }
@@ -240,16 +233,16 @@ class PayloadBuf
     std::uint8_t operator[](std::size_t i) const { return data()[i]; }
 
     /** True when the bytes live inline in the handle (<= 48 B). */
-    bool inlined() const { return !_heap; }
+    bool inlined() const { return !onHeap(); }
 
     /** Heap refcount (0 for inline/empty buffers) — test hook. */
-    long heapUseCount() const { return _heap ? _heap.use_count() : 0; }
+    long heapUseCount() const { return onHeap() ? _heap.use_count() : 0; }
 
     /** True when both handles reference the same heap bytes. */
     bool
     sharesBufferWith(const PayloadBuf &other) const
     {
-        return _heap && _heap == other._heap;
+        return onHeap() && other.onHeap() && _heap == other._heap;
     }
 
     bool
@@ -270,12 +263,53 @@ class PayloadBuf
     }
 
   private:
+    using Heap = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+    /** Payloads beyond one frame live on the heap; _heap is live. */
+    bool onHeap() const { return _len > kFramePayload; }
+
+    void
+    copyFrom(const PayloadBuf &other)
+    {
+        _len = other._len;
+        // Copy only the live prefix of inline bytes.
+        if (onHeap())
+            std::construct_at(&_heap, other._heap);
+        else if (_len)
+            std::memcpy(_inline.data(), other._inline.data(), _len);
+        if (_len)
+            detail::addHandlePass();
+    }
+
+    void
+    stealFrom(PayloadBuf &other) noexcept
+    {
+        _len = other._len;
+        if (onHeap()) {
+            std::construct_at(&_heap, std::move(other._heap));
+            other.reset();
+        } else if (_len) {
+            std::memcpy(_inline.data(), other._inline.data(), _len);
+        }
+    }
+
+    void
+    reset() noexcept
+    {
+        if (onHeap())
+            std::destroy_at(&_heap);
+        _len = 0;
+    }
+
     std::size_t _len = 0;
-    // Deliberately NOT value-initialized: heap handles never read it,
-    // and zeroing 48 B per handle construction was measurable on the
-    // frame hot path.  Every inline path writes before reading.
-    std::array<std::uint8_t, kFramePayload> _inline;
-    std::shared_ptr<const std::vector<std::uint8_t>> _heap;
+    union
+    {
+        // Deliberately NOT value-initialized: every inline path writes
+        // before reading, and zeroing 48 B per handle construction was
+        // measurable on the frame hot path.
+        std::array<std::uint8_t, kFramePayload> _inline;
+        Heap _heap; ///< live iff onHeap()
+    };
 };
 
 /**
@@ -290,12 +324,14 @@ class PayloadView
     PayloadView() = default;
 
     PayloadView(PayloadBuf buf, std::size_t offset, std::size_t len)
-        : _buf(std::move(buf)), _off(offset), _len(len)
+        : _buf(std::move(buf)), _off(static_cast<std::uint32_t>(offset)),
+          _len(static_cast<std::uint32_t>(len))
     {}
 
     /** Whole-buffer view. */
     explicit PayloadView(PayloadBuf buf)
-        : _buf(std::move(buf)), _off(0), _len(_buf.size())
+        : _buf(std::move(buf)), _off(0),
+          _len(static_cast<std::uint32_t>(_buf.size()))
     {}
 
     const std::uint8_t *data() const { return _buf.data() + _off; }
@@ -314,8 +350,10 @@ class PayloadView
 
   private:
     PayloadBuf _buf;
-    std::size_t _off = 0;
-    std::size_t _len = 0;
+    // 32-bit: a frame is queued at every hop, and two words fewer per
+    // frame is 8% of every frame queue's memory.
+    std::uint32_t _off = 0;
+    std::uint32_t _len = 0;
 };
 
 } // namespace dagger::proto

@@ -1,5 +1,7 @@
 #include "proto/wire.hh"
 
+#include <array>
+
 namespace dagger::proto {
 
 void
@@ -51,31 +53,81 @@ RpcMessage::frameCount() const
 std::vector<Frame>
 RpcMessage::toFrames() const
 {
-    const std::size_t n = frameCount();
     std::vector<Frame> frames;
-    frames.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        // Emplace fully-formed frames: default-constructing Frame
-        // slots just to overwrite them costs a zeroed handle and an
-        // extra move per frame, and this is the egress hot path.
-        Frame &f = frames.emplace_back();
-        f.header.connId = _connId;
-        f.header.rpcId = _rpcId;
-        f.header.fnId = _fnId;
-        f.header.payloadLen = static_cast<std::uint16_t>(_payload.size());
-        f.header.type = _type;
-        f.header.frameIdx = static_cast<std::uint16_t>(i);
-        const std::size_t off = i * kFramePayload;
-        if (off < _payload.size()) {
-            const std::size_t chunk =
-                std::min(kFramePayload, _payload.size() - off);
-            f.view = PayloadView(_payload, off, chunk);
-        }
-        // Per-frame checksum so a receiver can validate each fragment
-        // of a multi-packet RPC independently, before acknowledging.
-        f.header.checksum = f.computeChecksum();
-    }
+    frames.reserve(frameCount());
+    appendFrames(frames);
     return frames;
+}
+
+namespace {
+
+/// Burst vectors kept per thread, over all sizes: enough for the
+/// bursts a busy node has in flight, few enough (<= 0.1 MB) that peak
+/// RSS does not move.
+constexpr std::size_t kBurstCacheDepth = 64;
+
+/// Set once this thread's cache is destroyed: a frame vector released
+/// by a static destructor after that is simply freed.
+thread_local bool tBurstCacheGone = false;
+
+/**
+ * Recycled storage, by exact capacity.  A batch of n frames gets a
+ * vector of capacity n, never a larger one: doorbell batches of 4
+ * frames sit in CCI-P queues a hundred deep, and 16-frame storage
+ * under each would quadruple their memory.
+ */
+struct BurstCache
+{
+    /// bySize[c - 1]: vectors of capacity exactly c
+    std::array<std::vector<std::vector<Frame>>, kBurstFrames> bySize;
+    std::size_t count = 0;
+
+    ~BurstCache() { tBurstCacheGone = true; }
+};
+
+BurstCache &
+burstCache()
+{
+    thread_local BurstCache cache;
+    return cache;
+}
+
+} // namespace
+
+std::vector<Frame>
+takeBurst(std::size_t n)
+{
+    std::vector<Frame> frames;
+    if (n >= 1 && n <= kBurstFrames && !tBurstCacheGone) {
+        BurstCache &cache = burstCache();
+        auto &free = cache.bySize[n - 1];
+        if (!free.empty()) {
+            frames = std::move(free.back());
+            free.pop_back();
+            --cache.count;
+            return frames;
+        }
+    }
+    frames.reserve(n);
+    return frames;
+}
+
+void
+recycleBurst(std::vector<Frame> &&frames)
+{
+    const std::size_t cap = frames.capacity();
+    if (cap == 0 || cap > kBurstFrames || tBurstCacheGone)
+        return;
+    BurstCache &cache = burstCache();
+    auto &free = cache.bySize[cap - 1];
+    // Half the cache at most per size, so a draining ring of full
+    // bursts cannot crowd out the small batches in flight beside it.
+    if (cache.count >= kBurstCacheDepth ||
+        free.size() >= kBurstCacheDepth / 2)
+        return;
+    frames.clear();
+    free.push_back(std::move(frames));
+    ++cache.count;
 }
 
 namespace {
@@ -220,6 +272,14 @@ Reassembler::push(Frame frame, RpcMessage &out)
     }
     const Key key{h.connId, h.rpcId, h.type};
     Partial &p = _partial[key];
+    if (h.frameIdx == 0 && !p.frames.empty()) {
+        // A fresh first frame behind a stale partial: an earlier copy
+        // of this RPC lost its tail (an RX-ring overflow drop) and this
+        // is a resend.  Count the stale copy once and start over, or
+        // the leftover would make every frame of the resend malformed.
+        ++_malformed;
+        p.frames.clear();
+    }
     if (p.frames.empty())
         p.frames.reserve(h.frameCount());
     if (frame.header.frameIdx != p.frames.size()) {

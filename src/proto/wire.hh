@@ -185,6 +185,28 @@ struct Frame
 };
 
 /**
+ * Frames per burst: the CCI-P transaction cap (the NIC's auto-batch
+ * limit), and so the most frames a fetch claim, a request-buffer pop or
+ * a one-transaction RX delivery carries.
+ */
+constexpr std::size_t kBurstFrames = 16;
+
+/**
+ * Recycled frame bursts.  Frame batches hop through short-lived
+ * vectors — fetch claims, request-buffer pops, RX deliveries, packets
+ * — and a fresh vector per batch per hop was most of the data path's
+ * heap traffic.  takeBurst() hands out an empty vector of capacity
+ * @p n; for n <= kBurstFrames it reuses storage of that capacity that
+ * recycleBurst() returned on this thread.  recycleBurst() destroys the
+ * frames and keeps storage of at most kBurstFrames frames on a small
+ * bounded per-thread free list (larger batches are simply freed).
+ * Neither call touches a payload handle, so no counter sees the
+ * difference.
+ */
+std::vector<Frame> takeBurst(std::size_t n);
+void recycleBurst(std::vector<Frame> &&frames);
+
+/**
  * A complete RPC message: header metadata plus a refcounted flat
  * payload.  This is the unit the software API and the NIC RPC unit
  * operate on.  Copying a message passes the payload handle.
@@ -216,7 +238,40 @@ class RpcMessage
     /** Total wire bytes (frames * 64). */
     std::size_t wireBytes() const { return frameCount() * kCacheLineBytes; }
 
-    /** Slice into wire frames (handle passes, no byte copies). */
+    /**
+     * The in-place frame writer: append this message's wire frames to
+     * @p out (a std::vector or sim::RingQueue of Frame), constructing
+     * each frame in the container's own storage.  Slicing passes one
+     * payload handle per frame that carries bytes, never a byte copy.
+     */
+    template <typename FrameQueue>
+    void
+    appendFrames(FrameQueue &out) const
+    {
+        FrameHeader h;
+        h.connId = _connId;
+        h.rpcId = _rpcId;
+        h.fnId = _fnId;
+        h.payloadLen = static_cast<std::uint16_t>(_payload.size());
+        h.type = _type;
+        const std::size_t n = frameCount();
+        for (std::size_t i = 0; i < n; ++i) {
+            h.frameIdx = static_cast<std::uint16_t>(i);
+            const std::size_t off = i * kFramePayload;
+            Frame &f = off < _payload.size()
+                ? out.emplace_back(
+                      h, PayloadView(_payload, off,
+                                     std::min(kFramePayload,
+                                              _payload.size() - off)))
+                : out.emplace_back(h, PayloadView());
+            // Per-frame checksum so a receiver can validate each
+            // fragment of a multi-packet RPC independently, before
+            // acknowledging.
+            f.header.checksum = f.computeChecksum();
+        }
+    }
+
+    /** Slice into a fresh vector of wire frames (appendFrames()). */
     std::vector<Frame> toFrames() const;
 
     /**

@@ -14,7 +14,6 @@
 #define DAGGER_RPC_CLIENT_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <set>
 #include <unordered_map>
@@ -25,6 +24,7 @@
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
 #include "sim/check.hh"
+#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 
 namespace dagger::rpc {
@@ -235,7 +235,7 @@ class RpcClient
     static constexpr std::size_t kRetriedDoneCap = 1024;
 
     /** Messages of scheduled _thread events, in execute() order. */
-    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _threadMsgs;
+    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _threadMsgs;
 
     DAGGER_OWNED_BY(node) CompletionQueue _cq;
     DAGGER_OWNED_BY(node) sim::Histogram _latency{"rpc_rtt"};

@@ -12,11 +12,11 @@
 #define DAGGER_RPC_COMPLETION_QUEUE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "proto/wire.hh"
 #include "sim/check.hh"
+#include "sim/ring_queue.hh"
 
 namespace dagger::rpc {
 
@@ -62,7 +62,7 @@ class CompletionQueue
   private:
     // Owned by the client's node: delivery and polling both run on the
     // owning node's shard queue.
-    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _queue;
+    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _queue;
     Continuation _continuation;
     DAGGER_OWNED_BY(node) std::uint64_t _completed = 0;
 };

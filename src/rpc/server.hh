@@ -20,7 +20,6 @@
 #define DAGGER_RPC_SERVER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
 #include "sim/check.hh"
+#include "sim/ring_queue.hh"
 #include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
@@ -110,8 +110,8 @@ class WorkerPool
     sim::EventQueue &_eq;
     /** Work waiting out the handoff delay.  Parked here so each
      *  scheduled handoff event captures only `this`; the fixed delay
-     *  makes event order == submit order == deque order (FIFO). */
-    DAGGER_OWNED_BY(node) std::deque<Handoff> _handoff;
+     *  makes event order == submit order == queue order (FIFO). */
+    DAGGER_OWNED_BY(node) sim::RingQueue<Handoff> _handoff;
     /** Work placed on a worker and waiting for it to run. */
     DAGGER_OWNED_BY(node) sim::SlotTable<sim::EventFn> _work;
     DAGGER_OWNED_BY(node) std::uint64_t _submitted = 0;
@@ -198,11 +198,11 @@ class RpcServerThread
     std::unordered_map<proto::FnId, Handler> _handlers;
     DAGGER_OWNED_BY(node) bool _rxScheduled = false;
     DAGGER_OWNED_BY(node) bool _paused = false;
-    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _txBacklog;
+    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _txBacklog;
     /** Jobs of scheduled _dispatch events, in execute() order. */
-    DAGGER_OWNED_BY(node) std::deque<Job> _dispatchJobs;
+    DAGGER_OWNED_BY(node) sim::RingQueue<Job> _dispatchJobs;
     /** respondLater() responses of scheduled _dispatch events. */
-    DAGGER_OWNED_BY(node) std::deque<proto::RpcMessage> _lateResponses;
+    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _lateResponses;
     /** Jobs handed to the worker pool (they finish out of order). */
     DAGGER_OWNED_BY(node) sim::SlotTable<Job> _workerJobs;
     DAGGER_OWNED_BY(node) std::uint64_t _processed = 0;

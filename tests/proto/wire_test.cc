@@ -169,6 +169,43 @@ TEST(Reassembler, OutOfSequenceFrameDropsPartial)
     EXPECT_EQ(r.inFlight(), 0u);
 }
 
+TEST(Reassembler, ResendAfterTruncatedCopyReassembles)
+{
+    // An RX-ring overflow kept only frames 0-2 of a 5-frame message;
+    // the whole message is then resent under the same RPC id.  The
+    // resend's first frame discards the stale partial (counted once)
+    // and the resend itself reassembles.
+    Reassembler r;
+    RpcMessage m = makeMsg(200), out;
+    auto frames = m.toFrames();
+    ASSERT_EQ(frames.size(), 5u);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_FALSE(r.push(frames[i], out));
+    for (std::size_t i = 0; i + 1 < frames.size(); ++i)
+        EXPECT_FALSE(r.push(frames[i], out));
+    ASSERT_TRUE(r.push(frames.back(), out));
+    EXPECT_EQ(out.payload(), m.payload());
+    EXPECT_EQ(r.malformed(), 1u);
+    EXPECT_EQ(r.inFlight(), 0u);
+}
+
+TEST(Wire, BurstStorageIsRecycledByExactSize)
+{
+    std::vector<Frame> burst = takeBurst(3);
+    EXPECT_TRUE(burst.empty());
+    ASSERT_EQ(burst.capacity(), 3u);
+    makeMsg(100).appendFrames(burst);
+    const Frame *storage = burst.data();
+    recycleBurst(std::move(burst));
+    // Only a batch of the same size gets the storage back, empty.
+    EXPECT_EQ(takeBurst(2).capacity(), 2u);
+    std::vector<Frame> again = takeBurst(3);
+    EXPECT_EQ(again.data(), storage);
+    EXPECT_TRUE(again.empty());
+    // Larger batches get exactly their size (and are never kept).
+    EXPECT_EQ(takeBurst(kBurstFrames + 1).capacity(), kBurstFrames + 1);
+}
+
 TEST(Reassembler, RequestAndResponseWithSameIdsDoNotCollide)
 {
     Reassembler r;

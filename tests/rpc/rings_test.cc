@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "rpc/rings.hh"
 
 namespace {
@@ -33,6 +37,49 @@ TEST(TxRing, PushPopReleaseCycle)
     EXPECT_EQ(tx.used(), 1u); // still occupied until bookkeeping
     tx.release(1);
     EXPECT_EQ(tx.used(), 0u);
+}
+
+TEST(TxRing, ClaimsKeepFifoOrderAcrossBursts)
+{
+    // Pending frames are stored in 16-frame bursts; messages and
+    // claims of odd sizes straddle burst boundaries, and the NIC must
+    // still see every frame once, in push order.
+    TxRing tx(512);
+    std::vector<std::pair<proto::RpcId, std::uint16_t>> pushed;
+    for (proto::RpcId id = 1; id <= 12; ++id) {
+        const std::size_t len = 48 * (id % 5) + 7 * id; // 1 to 6 frames
+        const proto::RpcMessage m = msg(len, id);
+        ASSERT_TRUE(tx.push(m));
+        for (std::uint16_t i = 0; i < m.frameCount(); ++i)
+            pushed.emplace_back(id, i);
+    }
+    ASSERT_EQ(tx.pendingFrames(), pushed.size());
+    std::size_t next = 0;
+    std::size_t claim = 1;
+    bool pushedMore = false;
+    while (tx.pendingFrames() > 0) {
+        claim = claim % 7 + 3; // 4, 5, ..., 9, 3, 4, ...
+        const std::size_t expect = std::min(claim, tx.pendingFrames());
+        const auto frames = tx.popFrames(claim);
+        ASSERT_EQ(frames.size(), expect);
+        for (const proto::Frame &f : frames) {
+            ASSERT_LT(next, pushed.size());
+            EXPECT_EQ(f.header.rpcId, pushed[next].first);
+            EXPECT_EQ(f.header.frameIdx, pushed[next].second);
+            EXPECT_TRUE(f.verifyChecksum());
+            ++next;
+        }
+        // Pushing behind a partly claimed burst keeps the order too.
+        if (!pushedMore && next >= 20) {
+            ASSERT_TRUE(tx.push(msg(100, 99)));
+            for (std::uint16_t i = 0; i < 3; ++i)
+                pushed.emplace_back(99, i);
+            pushedMore = true;
+        }
+    }
+    EXPECT_TRUE(pushedMore);
+    EXPECT_EQ(next, pushed.size());
+    EXPECT_EQ(tx.poppedFrames(), tx.pushedFrames());
 }
 
 TEST(TxRing, BlocksWhenEntriesNotReleased)
