@@ -60,13 +60,12 @@ class EchoRig
         std::size_t payload = 48;    ///< one 64 B frame by default
         sim::Tick serverCost = sim::nsToTicks(10);
         bool bestEffort = false;     ///< allow drops (peak-rate mode)
-        unsigned shards = 1;         ///< event-engine domains (1 = classic)
         std::size_t txRingEntries = 512; ///< frames per TX ring
         std::size_t rxRingEntries = 512; ///< frames per RX ring
     };
 
     explicit EchoRig(const Options &opt)
-        : _opt(opt), _sys(opt.iface, {}, {}, opt.shards), _rng(0xbe0c4)
+        : _opt(opt), _sys(opt.iface), _rng(0xbe0c4)
     {
         nic::NicConfig cfg;
         cfg.numFlows = opt.threads;
@@ -80,11 +79,9 @@ class EchoRig
         _clientNode = &_sys.addNode(cfg, soft);
         _serverNode = &_sys.addNode(cfg, soft);
 
-        // CPU sets live in their node's domain (on a sharded system the
-        // two nodes sit on different shards), so they can only be built
-        // once the nodes are placed.  Tight 80ns send loops co-schedule
-        // well on SMT siblings: a mild 1.2x penalty matches the paper's
-        // near-linear scaling to 4 threads on 2 cores.
+        // Tight 80ns send loops co-schedule well on SMT siblings: a
+        // mild 1.2x penalty matches the paper's near-linear scaling to
+        // 4 threads on 2 cores.
         _clientCpus = std::make_unique<rpc::CpuSet>(
             _clientNode->eq(), std::max(1u, (opt.threads + 1) / 2), 1.2);
         _serverCpus =
@@ -182,7 +179,6 @@ class EchoRig
     void
     floodLoop(rpc::RpcClient &cli)
     {
-        // The send loop runs in the client node's domain.
         sim::EventQueue &eq = _clientNode->eq();
         if (eq.now() >= _stopAt)
             return;
@@ -304,26 +300,6 @@ class WallTimer
   private:
     std::chrono::steady_clock::time_point _start; // dagger-lint: allow(no-wallclock)
 };
-
-/** ShardedEngine clock source: monotonic host nanoseconds.  Wall time
- *  feeds busy/stall accounting only, never a simulated quantity. */
-inline std::uint64_t
-engineClockNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            // dagger-lint: allow(no-wallclock)
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Arm busy/stall accounting on @p sys's engine (no-op unsharded). */
-inline void
-attachEngineClock(rpc::DaggerSystem &sys)
-{
-    if (sim::ShardedEngine *e = sys.engine())
-        e->setClock(&engineClockNs);
-}
 
 /**
  * Parallel scenario runner.
@@ -469,20 +445,14 @@ class BenchContext
                     : defaultJsonPath();
             } else if (a.rfind("--json=", 0) == 0) {
                 _jsonPath = a.substr(7);
-            } else if (a == "--shards" && i + 1 < argc) {
-                _shards = parseShards(argv[++i]);
-            } else if (a.rfind("--shards=", 0) == 0) {
-                _shards = parseShards(a.substr(9).c_str());
             } else if (a == "--strict") {
                 _strict = true;
             } else if (a == "--help" || a == "-h") {
                 std::printf(
-                    "usage: %s [--jobs N] [--shards N] [--json [PATH]] "
+                    "usage: %s [--jobs N] [--json [PATH]] "
                     "[--strict]\n"
                     "  --jobs N      scenario worker threads (default: "
                     "DAGGER_BENCH_JOBS or hardware threads)\n"
-                    "  --shards N    event-engine domains per system "
-                    "(default 1: classic single queue)\n"
                     "  --json [PATH] write results to PATH (default "
                     "%s)\n"
                     "  --strict      exit nonzero when a paper anchor "
@@ -497,8 +467,6 @@ class BenchContext
 
     const std::string &name() const { return _name; }
     bool strict() const { return _strict; }
-    /** Event-engine domains per DaggerSystem (--shards; 1 = classic). */
-    unsigned shards() const { return _shards; }
     unsigned jobs() const { return SweepRunner(_jobs).jobs(); }
     SweepRunner runner() const { return SweepRunner(_jobs); }
     bool jsonRequested() const { return !_jsonPath.empty(); }
@@ -623,13 +591,6 @@ class BenchContext
         return n >= 1 ? static_cast<unsigned>(n) : 1;
     }
 
-    static unsigned
-    parseShards(const char *s)
-    {
-        const long n = std::strtol(s, nullptr, 10);
-        return n >= 1 ? static_cast<unsigned>(n) : 1;
-    }
-
     std::string defaultJsonPath() const { return "BENCH_" + _name + ".json"; }
 
     std::string
@@ -639,7 +600,6 @@ class BenchContext
         out += "\"bench\": \"" + sim::jsonEscape(_name) + "\",\n";
         out += "\"seed\": " + std::to_string(_seed) + ",\n";
         out += "\"jobs\": " + std::to_string(jobs()) + ",\n";
-        out += "\"shards\": " + std::to_string(_shards) + ",\n";
         out += "\"wall_clock_sec\": " + sim::jsonNumber(wall) + ",\n";
         out += "\"config\": {";
         for (std::size_t i = 0; i < _config.size(); ++i) {
@@ -676,7 +636,6 @@ class BenchContext
     std::string _name;
     std::chrono::steady_clock::time_point _start; // dagger-lint: allow(no-wallclock)
     unsigned _jobs = 0; ///< 0 = SweepRunner default
-    unsigned _shards = 1;
     bool _strict = false;
     std::string _jsonPath;
     std::uint64_t _seed = 0;
@@ -685,44 +644,6 @@ class BenchContext
     std::vector<std::pair<std::string, bool>> _checks;
     std::vector<Anchor> _anchors;
 };
-
-/**
- * Append per-shard busy time and the barrier-stall fraction to @p pt:
- * `busy_ms_shard<i>` for every shard, `parallel_ms`/`serial_ms` phase
- * spans, and `barrier_stall_frac` — the fraction of the parallel-phase
- * wall time the workers spent *not* executing events (idle at the
- * lookahead barrier or waiting on uneven shard load).  Requires
- * attachEngineClock() before the run; all zeros otherwise.
- */
-inline void
-recordEngineTiming(BenchPoint &pt, sim::ShardedEngine &e)
-{
-    std::uint64_t busy_sum = 0; // parallel shards only (1..S-1)
-    for (unsigned s = 0; s < e.shards(); ++s) {
-        pt.value("busy_ms_shard" + std::to_string(s),
-                 static_cast<double>(e.busyNs(s)) / 1e6);
-        if (s >= 1)
-            busy_sum += e.busyNs(s);
-    }
-    pt.value("parallel_ms", static_cast<double>(e.parallelNs()) / 1e6);
-    pt.value("serial_ms", static_cast<double>(e.serialNs()) / 1e6);
-    // With w workers the parallel phase offers w*parallelNs of worker
-    // wall time; whatever is not shard busy time is barrier stall.
-    const double lanes = static_cast<double>(std::max(1u, e.workers()));
-    const double offered = lanes * static_cast<double>(e.parallelNs());
-    const double stall = offered <= 0.0
-        ? 0.0
-        : std::max(0.0, 1.0 - static_cast<double>(busy_sum) / offered);
-    pt.value("barrier_stall_frac", stall);
-}
-
-/** DaggerSystem convenience overload (no-op on unsharded systems). */
-inline void
-recordEngineTiming(BenchPoint &pt, rpc::DaggerSystem &sys)
-{
-    if (sim::ShardedEngine *e = sys.engine())
-        recordEngineTiming(pt, *e);
-}
 
 /** Shared bench entry point: flag parsing, run, JSON emit, exit code. */
 inline int

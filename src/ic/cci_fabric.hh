@@ -19,16 +19,10 @@
 
 #include "ic/channel.hh"
 #include "ic/cost_model.hh"
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
-#include "sim/ownership.hh"
 #include "sim/ring_queue.hh"
 #include "sim/slot_table.hh"
-
-namespace dagger::sim {
-class ShardedEngine;
-}
 
 namespace dagger::ic {
 
@@ -72,15 +66,6 @@ class CciPort
      */
     void rawRead(EventFn done);
 
-    /**
-     * Sharded-engine wiring (rpc::DaggerSystem): channel arbitration
-     * stays in the fabric domain (shard 0) while the outstanding
-     * window and every completion run in the owning node's domain on
-     * @p hostEq.  Call before traffic.
-     */
-    void bindHost(sim::ShardedEngine &engine, unsigned shard,
-                  EventQueue &hostEq);
-
     void setPollMode(PollMode mode) { _pollMode = mode; }
     PollMode pollMode() const { return _pollMode; }
 
@@ -112,31 +97,22 @@ class CciPort
     void submit(Op op);
     void issue(Op op);
     void completed();
-    /** Queue completions land on: the owning node's shard queue on a
-     *  sharded system, the fabric's queue otherwise. */
-    EventQueue &hostEq();
 
     CciFabric &_fabric;
     unsigned _id;
-    sim::ShardedEngine *_engine = nullptr;
-    unsigned _shard = 0;
-    EventQueue *_hostEq = nullptr;
-    // The outstanding-transaction window and its statistics run in the
-    // owning node's domain; completions cross back via postCross.
-    DAGGER_OWNED_BY(node) PollMode _pollMode = PollMode::LocalCache;
-    DAGGER_OWNED_BY(node) unsigned _inFlight = 0;
+    PollMode _pollMode = PollMode::LocalCache;
+    unsigned _inFlight = 0;
     /// ops waiting for an outstanding slot
-    DAGGER_OWNED_BY(node) sim::RingQueue<Op> _pendingWindow;
-    /// completions of issued transactions (single-queue mode), at most
-    /// one per outstanding slot
-    DAGGER_OWNED_BY(node) sim::SlotTable<EventFn> _done;
+    sim::RingQueue<Op> _pendingWindow;
+    /// completions of issued transactions, at most one per outstanding
+    /// slot
+    sim::SlotTable<EventFn> _done;
 
-    DAGGER_OWNED_BY(node) std::uint64_t _fetchTxns = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _postTxns = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _linesFetched = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _linesPosted = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _stalls = 0;
-    sim::OwnershipGuard _guard;
+    std::uint64_t _fetchTxns = 0;
+    std::uint64_t _postTxns = 0;
+    std::uint64_t _linesFetched = 0;
+    std::uint64_t _linesPosted = 0;
+    std::uint64_t _stalls = 0;
 };
 
 /**

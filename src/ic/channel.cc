@@ -24,7 +24,6 @@ Channel::request(unsigned port, unsigned lines, EventFn done, bool streamed)
 {
     dagger_assert(port < _queues.size(), "bad channel port ", port);
     dagger_assert(lines >= 1, "empty transaction");
-    _guard.check("ic::Channel arbitration state");
     _queues[port].push_back(Txn{std::move(done), lines, streamed});
     if (!_busy)
         grantNext();

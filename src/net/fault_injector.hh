@@ -12,11 +12,9 @@
  * budgets) can be exercised reproducibly.
  *
  * Determinism contract: every installed port owns its own seeded
- * sim::Rng, consumed in that port's packet-arrival order.  Per-port
- * arrival order is what the sharded engine reproduces byte-identically
- * at any --shards count, so fault decisions are identical across
- * --jobs AND --shards — and no rng is ever shared across shard
- * domains.  The first installed port uses the spec seed directly
+ * sim::Rng, consumed in that port's packet-arrival order, so one
+ * port's fault decisions do not depend on traffic through any other
+ * port.  The first installed port uses the spec seed directly
  * (single-port installs see the classic stream); every further port
  * derives its stream by mixing its node id into the seed.
  *
@@ -35,7 +33,6 @@
 
 #include "net/tor_switch.hh"
 #include "sim/metrics.hh"
-#include "sim/ownership.hh"
 #include "sim/rng.hh"
 
 namespace dagger::net {
@@ -71,9 +68,8 @@ struct FaultSpec
 
 /**
  * One injector instance guards the delivery side of one or more
- * SwitchPorts.  Each installed port gets its own domain-local rng
- * stream and counters, so an injector may span ports living on
- * different shards of a sharded engine.
+ * SwitchPorts.  Each installed port gets its own rng stream and
+ * counters.
  */
 class FaultInjector
 {
@@ -120,24 +116,21 @@ class FaultInjector
   private:
     friend class SwitchPort;
 
-    /**
-     * Domain-local fault state of one installed port: its rng stream,
-     * script index, and statistics all live (and mutate) in the
-     * port's shard domain.
-     */
+    /** Fault state of one installed port: its rng stream, script
+     *  index, and statistics. */
     struct PortState
     {
         explicit PortState(std::uint64_t seed) : rng(seed) {}
 
-        DAGGER_OWNED_BY(node) sim::Rng rng;
-        DAGGER_OWNED_BY(node) std::uint64_t index = 0; ///< script index
-        DAGGER_OWNED_BY(node) std::uint64_t seen = 0;
-        DAGGER_OWNED_BY(node) std::uint64_t delivered = 0;
-        DAGGER_OWNED_BY(node) std::uint64_t dropped = 0;
-        DAGGER_OWNED_BY(node) std::uint64_t duplicated = 0;
-        DAGGER_OWNED_BY(node) std::uint64_t reordered = 0;
-        DAGGER_OWNED_BY(node) std::uint64_t corrupted = 0;
-        DAGGER_OWNED_BY(node) std::uint64_t flapDropped = 0;
+        sim::Rng rng;
+        std::uint64_t index = 0; ///< script index
+        std::uint64_t seen = 0;
+        std::uint64_t delivered = 0;
+        std::uint64_t dropped = 0;
+        std::uint64_t duplicated = 0;
+        std::uint64_t reordered = 0;
+        std::uint64_t corrupted = 0;
+        std::uint64_t flapDropped = 0;
     };
 
     /** Apply the fault model to @p pkt bound for @p port's receiver. */
@@ -151,12 +144,10 @@ class FaultInjector
     void corruptPayload(PortState &st, Packet &pkt);
     std::uint64_t sum(std::uint64_t PortState::*field) const;
 
-    sim::EventQueue &_eq; ///< construction-domain queue (unsharded use)
+    sim::EventQueue &_eq;
     FaultSpec _spec;
 
-    /** Keyed by port; entries are created by install() and the table
-     *  itself is never touched once traffic starts — only the mapped
-     *  PortStates mutate, each in its own port's domain. */
+    /** Keyed by port; entries are created by install(). */
     std::map<const SwitchPort *, PortState> _ports;
 
     // Scripts are read-only during the run (see file comment).

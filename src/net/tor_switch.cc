@@ -2,7 +2,6 @@
 
 #include "net/fault_injector.hh"
 #include "sim/logging.hh"
-#include "sim/sharded_engine.hh"
 
 namespace dagger::net {
 
@@ -13,7 +12,7 @@ TorSwitch::TorSwitch(EventQueue &eq, Tick hop_delay, Tick byte_time,
 {}
 
 SwitchPort::SwitchPort(TorSwitch &sw, NodeId node)
-    : _switch(sw), _node(node), _eq(&sw._eq)
+    : _switch(sw), _node(node)
 {}
 
 SwitchPort &
@@ -28,36 +27,6 @@ TorSwitch::attach(NodeId node)
 }
 
 void
-TorSwitch::bindPort(NodeId node, EventQueue &eq, unsigned shard)
-{
-    SwitchPort &port = attach(node);
-    port._eq = &eq;
-    port._shard = shard;
-    if (_engine)
-        port._guard.bind(_engine, shard);
-}
-
-std::uint64_t
-TorSwitch::forwarded() const
-{
-    std::uint64_t total = 0;
-    for (const auto &port : _ports)
-        if (port)
-            total += port->_forwarded;
-    return total;
-}
-
-std::uint64_t
-TorSwitch::dropped() const
-{
-    std::uint64_t total = 0;
-    for (const auto &port : _ports)
-        if (port)
-            total += port->_dropped + port->_unroutable;
-    return total;
-}
-
-void
 SwitchPort::setFaultInjector(FaultInjector *fi)
 {
     _fault = fi;
@@ -67,35 +36,6 @@ void
 SwitchPort::send(Packet pkt)
 {
     pkt.src = _node;
-    TorSwitch &sw = _switch;
-    if (sw._engine) {
-        // Sharded mode: routing is a static-table lookup, so resolve
-        // the destination port here and run the whole egress pipeline
-        // (queueing, serialization, delivery) in the destination
-        // node's domain.  The hop delay covers the cross-domain
-        // hand-off; it is one of the latencies the engine lookahead is
-        // derived from.
-        SwitchPort *dst = pkt.dst < sw._ports.size()
-            ? sw._ports[pkt.dst].get()
-            : nullptr;
-        if (!dst) {
-            ++_unroutable;
-            dagger_warn("ToR: no port for node ", pkt.dst,
-                        "; packet dropped");
-            return;
-        }
-        auto arrive = [sw = &_switch, dst, pkt = std::move(pkt)]() mutable {
-            sw->enqueueEgress(*dst, std::move(pkt));
-        };
-        if (dst->_shard == _shard)
-            _eq->schedule(sw._hopDelay, std::move(arrive),
-                          sim::Priority::Hardware);
-        else
-            sw._engine->postCross(_shard, dst->_shard, sw._hopDelay,
-                                  std::move(arrive),
-                                  sim::Priority::Hardware);
-        return;
-    }
     // Ingress: the packet traverses the switch fabric after hop delay,
     // then serializes out of the destination's egress port.
     _switch._eq.schedule(_switch._hopDelay,
@@ -109,8 +49,7 @@ void
 TorSwitch::route(Packet pkt)
 {
     if (pkt.dst >= _ports.size() || !_ports[pkt.dst]) {
-        if (pkt.src < _ports.size() && _ports[pkt.src])
-            ++_ports[pkt.src]->_unroutable;
+        ++_dropped;
         dagger_warn("ToR: no port for node ", pkt.dst, "; packet dropped");
         return;
     }
@@ -120,11 +59,8 @@ TorSwitch::route(Packet pkt)
 void
 TorSwitch::enqueueEgress(SwitchPort &port, Packet pkt)
 {
-    // Egress state is node-domain: on a sharded system this runs in
-    // the destination port's shard (send() crossed the packet over).
-    port._guard.check("net::SwitchPort egress pipeline");
     if (port._egressQueue.size() >= _queueCap) {
-        ++port._dropped;
+        ++_dropped;
         return;
     }
     port._egressQueue.push_back(std::move(pkt));
@@ -135,7 +71,6 @@ TorSwitch::enqueueEgress(SwitchPort &port, Packet pkt)
 void
 TorSwitch::drainEgress(SwitchPort &port)
 {
-    port._guard.check("net::SwitchPort egress pipeline");
     if (port._egressQueue.empty()) {
         port._egressBusy = false;
         return;
@@ -144,9 +79,9 @@ TorSwitch::drainEgress(SwitchPort &port)
     port._inFlight = std::move(port._egressQueue.front());
     port._egressQueue.pop_front();
     const Tick ser = _byteTime * port._inFlight.wireBytes();
-    ++port._forwarded;
-    port._eq->schedule(ser, [this, &port] { egressDone(port); },
-                       sim::Priority::Hardware);
+    ++_forwarded;
+    _eq.schedule(ser, [this, &port] { egressDone(port); },
+                 sim::Priority::Hardware);
 }
 
 void

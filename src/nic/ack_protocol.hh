@@ -29,7 +29,6 @@
 #include <unordered_map>
 
 #include "nic/pipeline.hh"
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 
@@ -184,22 +183,20 @@ class AckProtocol final : public ProtocolUnit
     unsigned _maxRetries;
     std::size_t _mtuFrames;
 
-    // Attached to one DaggerNic: transport state is node-domain like
-    // the rest of that NIC's pipeline.
     /// per conn
-    DAGGER_OWNED_BY(node) std::unordered_map<std::uint32_t, std::uint32_t> _txSeq;
-    DAGGER_OWNED_BY(node) std::unordered_map<Key, Pending, KeyHash> _pending;
-    DAGGER_OWNED_BY(node) std::unordered_map<std::uint32_t, RxConn> _rx;
-    DAGGER_OWNED_BY(node) std::unordered_map<FragKey, FragBuf, FragKeyHash> _frags;
+    std::unordered_map<std::uint32_t, std::uint32_t> _txSeq;
+    std::unordered_map<Key, Pending, KeyHash> _pending;
+    std::unordered_map<std::uint32_t, RxConn> _rx;
+    std::unordered_map<FragKey, FragBuf, FragKeyHash> _frags;
 
-    DAGGER_OWNED_BY(node) unsigned _dropNext = 0;
-    DAGGER_OWNED_BY(node) unsigned _dropNextAcks = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _acksSent = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _acksReceived = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _retransmissions = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _lost = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _dupSuppressed = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _corruptDropped = 0;
+    unsigned _dropNext = 0;
+    unsigned _dropNextAcks = 0;
+    std::uint64_t _acksSent = 0;
+    std::uint64_t _acksReceived = 0;
+    std::uint64_t _retransmissions = 0;
+    std::uint64_t _lost = 0;
+    std::uint64_t _dupSuppressed = 0;
+    std::uint64_t _corruptDropped = 0;
 };
 
 } // namespace dagger::nic

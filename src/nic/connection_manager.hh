@@ -22,7 +22,6 @@
 #include "net/tor_switch.hh"
 #include "nic/config.hh"
 #include "proto/wire.hh"
-#include "sim/check.hh"
 #include "sim/metrics.hh"
 #include "sim/time.hh"
 
@@ -159,13 +158,13 @@ class ConnectionManager
      * and count per-port accesses, which preserves behaviour exactly
      * (the banking only removes structural hazards in RTL).
      */
-    DAGGER_OWNED_BY(node) std::vector<Slot> _table;
+    std::vector<Slot> _table;
     /// host DRAM
-    DAGGER_OWNED_BY(node) std::unordered_map<proto::ConnId, ConnTuple> _backing;
-    DAGGER_OWNED_BY(node) std::uint64_t _hits = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _misses = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _evictions = 0;
-    DAGGER_OWNED_BY(node) std::array<std::uint64_t, 3> _readerAccesses{};
+    std::unordered_map<proto::ConnId, ConnTuple> _backing;
+    std::uint64_t _hits = 0;
+    std::uint64_t _misses = 0;
+    std::uint64_t _evictions = 0;
+    std::array<std::uint64_t, 3> _readerAccesses{};
 };
 
 } // namespace dagger::nic

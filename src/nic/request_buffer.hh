@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "proto/wire.hh"
-#include "sim/check.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/ring_queue.hh"
@@ -82,13 +81,11 @@ class RequestBuffer
     }
 
   private:
-    // Embedded in a DaggerNic: node-domain state like the rest of the
-    // TX pipeline.
-    DAGGER_OWNED_BY(node) std::vector<proto::Frame> _table;
-    DAGGER_OWNED_BY(node) sim::RingQueue<SlotId> _freeFifo;
-    DAGGER_OWNED_BY(node) std::vector<sim::RingQueue<SlotId>> _flowFifos;
-    DAGGER_OWNED_BY(node) std::uint64_t _pushes = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _rejections = 0;
+    std::vector<proto::Frame> _table;
+    sim::RingQueue<SlotId> _freeFifo;
+    std::vector<sim::RingQueue<SlotId>> _flowFifos;
+    std::uint64_t _pushes = 0;
+    std::uint64_t _rejections = 0;
 };
 
 } // namespace dagger::nic

@@ -14,14 +14,14 @@ std::mutex g_cellMutex;
 /**
  * All counter cells ever created, one per thread that ever touched a
  * payload.  The registry owns the cells outright so a cell's totals
- * survive its thread's exit (shard workers are joined before stats
- * are read, but the numbers must not vanish with them).
+ * survive its thread's exit (a bench's --jobs workers finish before
+ * stats are read, but the numbers must not vanish with them).
  */
 std::vector<std::unique_ptr<detail::PayloadCounterCell>> &
 cellRegistry()
 {
-    // Mutated only under g_cellMutex; cross-shard by design so cell
-    // totals survive worker-thread exit.
+    // Mutated only under g_cellMutex; shared by every thread by design
+    // so cell totals survive worker-thread exit.
     // dagger-lint: allow(shared-mutable-static-in-sim)
     static std::vector<std::unique_ptr<detail::PayloadCounterCell>> cells;
     return cells;

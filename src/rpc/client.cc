@@ -143,7 +143,7 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
                 // a short re-attempt timer carry it instead of
                 // dropping the call on the floor.
                 ++_resendDrops;
-                _node.system().reliability().resendDrops.inc();
+                ++_node.system().reliability().resendDrops;
                 armResendRetry(rpc_id);
                 return;
             }
@@ -160,7 +160,7 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
             // retransmit — before the first copy was ever sent.
             if (now - issued_at >= _retry.timeout) {
                 ++_spuriousArms;
-                _node.system().reliability().spuriousArms.inc();
+                ++_node.system().reliability().spuriousArms;
             }
             armCallTimer(rpc_id, _retry.timeout);
         }
@@ -212,7 +212,7 @@ RpcClient::onCallTimeout(proto::RpcId rpc_id)
         // Budget exhausted: complete the call with a status instead of
         // leaving a silent orphan behind.
         ++_timeouts;
-        _node.system().reliability().timeouts.inc();
+        ++_node.system().reliability().timeouts;
         rememberRetried(rpc_id);
         StatusCb scb = std::move(p.scb);
         _pending.erase(it);
@@ -224,7 +224,7 @@ RpcClient::onCallTimeout(proto::RpcId rpc_id)
     }
     ++p.attempt;
     ++_retriesSent;
-    _node.system().reliability().retries.inc();
+    ++_node.system().reliability().retries;
     resend(rpc_id);
     armCallTimer(rpc_id, retryTimeout(p.attempt));
 }
@@ -253,7 +253,7 @@ RpcClient::resend(proto::RpcId rpc_id)
             // the storm visible.
             ++_sendFailures;
             ++_resendDrops;
-            _node.system().reliability().resendDrops.inc();
+            ++_node.system().reliability().resendDrops;
             armResendRetry(rpc_id);
             return;
         }
@@ -333,13 +333,13 @@ RpcClient::processResponses()
                 // accounted, not an unknown orphan — and never
                 // delivered twice.
                 ++_lateResponses;
-                _node.system().reliability().lateResponses.inc();
+                ++_node.system().reliability().lateResponses;
             } else {
                 ++_orphans;
             }
         } else {
             ++_responses;
-            _node.system().reliability().completions.inc();
+            ++_node.system().reliability().completions;
             const sim::Tick now = _node.eq().now();
             if (it->second.sentAt)
                 _latency.record(now - it->second.sentAt);

@@ -23,7 +23,6 @@
 #include "rpc/completion_queue.hh"
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
-#include "sim/check.hh"
 #include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 
@@ -202,12 +201,10 @@ class RpcClient
     unsigned _flow;
     HwThread &_thread;
     proto::ConnId _conn = 0;
-    // Call state below runs on the owning node's shard queue (the
-    // client's HwThread events and NIC delivery share that domain).
-    DAGGER_OWNED_BY(node) proto::RpcId _nextRpcId = 1;
+    proto::RpcId _nextRpcId = 1;
     bool _shared = false;
     bool _bestEffort = false;
-    DAGGER_OWNED_BY(node) bool _rxScheduled = false;
+    bool _rxScheduled = false;
     RetryPolicy _retry;
 
     struct Pending
@@ -226,28 +223,28 @@ class RpcClient
         proto::FnId fn = 0;
         proto::PayloadBuf payload;
     };
-    DAGGER_OWNED_BY(node) std::unordered_map<proto::RpcId, Pending> _pending;
+    std::unordered_map<proto::RpcId, Pending> _pending;
 
     /** Ids of retried/timed-out calls, so a late (or duplicate)
      *  response counts as such instead of as an unknown orphan.
      *  Bounded; ordered so eviction is deterministic. */
-    DAGGER_OWNED_BY(node) std::set<proto::RpcId> _retriedDone;
+    std::set<proto::RpcId> _retriedDone;
     static constexpr std::size_t kRetriedDoneCap = 1024;
 
     /** Messages of scheduled _thread events, in execute() order. */
-    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _threadMsgs;
+    sim::RingQueue<proto::RpcMessage> _threadMsgs;
 
-    DAGGER_OWNED_BY(node) CompletionQueue _cq;
-    DAGGER_OWNED_BY(node) sim::Histogram _latency{"rpc_rtt"};
-    DAGGER_OWNED_BY(node) std::uint64_t _sent = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _responses = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _sendFailures = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _orphans = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _timeouts = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _retriesSent = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _lateResponses = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _spuriousArms = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _resendDrops = 0;
+    CompletionQueue _cq;
+    sim::Histogram _latency{"rpc_rtt"};
+    std::uint64_t _sent = 0;
+    std::uint64_t _responses = 0;
+    std::uint64_t _sendFailures = 0;
+    std::uint64_t _orphans = 0;
+    std::uint64_t _timeouts = 0;
+    std::uint64_t _retriesSent = 0;
+    std::uint64_t _lateResponses = 0;
+    std::uint64_t _spuriousArms = 0;
+    std::uint64_t _resendDrops = 0;
 };
 
 /**

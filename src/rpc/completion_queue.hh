@@ -15,7 +15,6 @@
 #include <functional>
 
 #include "proto/wire.hh"
-#include "sim/check.hh"
 #include "sim/ring_queue.hh"
 
 namespace dagger::rpc {
@@ -60,11 +59,9 @@ class CompletionQueue
     std::uint64_t completed() const { return _completed; }
 
   private:
-    // Owned by the client's node: delivery and polling both run on the
-    // owning node's shard queue.
-    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _queue;
+    sim::RingQueue<proto::RpcMessage> _queue;
     Continuation _continuation;
-    DAGGER_OWNED_BY(node) std::uint64_t _completed = 0;
+    std::uint64_t _completed = 0;
 };
 
 } // namespace dagger::rpc

@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
 
@@ -57,9 +56,8 @@ class HwThread
 
     CpuCore *_core = nullptr;
     unsigned _index = 0;
-    // Busy accounting runs on the owning node's shard queue.
-    DAGGER_OWNED_BY(node) Tick _busyUntil = 0;
-    DAGGER_OWNED_BY(node) Tick _busyTicks = 0;
+    Tick _busyUntil = 0;
+    Tick _busyTicks = 0;
 };
 
 /** A physical core with two SMT hardware threads. */

@@ -140,9 +140,7 @@ class TxRing
 
   private:
     std::size_t _capacity;
-    // Ring state is node-domain: producer (software) and consumer
-    // (NIC) both run on the owning node's shard queue.
-    DAGGER_OWNED_BY(node) std::size_t _used = 0;
+    std::size_t _used = 0;
     /** appendFrames() sink: fills the back burst of _pending, opening
      *  a fresh one from the burst cache when it is full. */
     struct BurstWriter
@@ -167,15 +165,15 @@ class TxRing
     // cost 0.17 MB (+3%) of peak RSS (PERF.md, "Allocation-free frame
     // path").  Bursts drain back to the cache and the allocator and are
     // shared with every other ring of the thread.
-    DAGGER_OWNED_BY(node) sim::RingQueue<std::vector<proto::Frame>> _pending;
+    sim::RingQueue<std::vector<proto::Frame>> _pending;
     /// frames of _pending.front() the NIC has already claimed
-    DAGGER_OWNED_BY(node) std::size_t _pendingHead = 0;
-    DAGGER_OWNED_BY(node) std::size_t _pendingFrames = 0;
+    std::size_t _pendingHead = 0;
+    std::size_t _pendingFrames = 0;
     std::function<void()> _notify;
     std::function<void()> _spaceNotify;
-    DAGGER_OWNED_BY(node) std::uint64_t _pushedFrames = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _poppedFrames = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _blocked = 0;
+    std::uint64_t _pushedFrames = 0;
+    std::uint64_t _poppedFrames = 0;
+    std::uint64_t _blocked = 0;
 };
 
 /**
@@ -250,11 +248,11 @@ class RxRing
 
   private:
     std::size_t _capacity;
-    DAGGER_OWNED_BY(node) sim::RingQueue<proto::Frame> _frames;
-    DAGGER_OWNED_BY(node) proto::Reassembler _reassembler;
+    sim::RingQueue<proto::Frame> _frames;
+    proto::Reassembler _reassembler;
     std::function<void()> _notify;
-    DAGGER_OWNED_BY(node) std::uint64_t _drops = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _deliveredFrames = 0;
+    std::uint64_t _drops = 0;
+    std::uint64_t _deliveredFrames = 0;
 };
 
 /** A flow's pair of rings (one per NIC flow, Fig. 7). */

@@ -27,7 +27,6 @@
 #include "proto/wire.hh"
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
-#include "sim/check.hh"
 #include "sim/ring_queue.hh"
 #include "sim/slot_table.hh"
 #include "sim/stats.hh"
@@ -104,18 +103,16 @@ class WorkerPool
 
     DaggerSystem &_sys;
     std::vector<HwThread *> _workers;
-    /** The workers' domain queue: handoff events must fire where the
-     *  worker threads live, which on a sharded system is the owning
-     *  node's shard — never the system-wide queue. */
+    /** Queue the handoff events run on. */
     sim::EventQueue &_eq;
     /** Work waiting out the handoff delay.  Parked here so each
      *  scheduled handoff event captures only `this`; the fixed delay
      *  makes event order == submit order == queue order (FIFO). */
-    DAGGER_OWNED_BY(node) sim::RingQueue<Handoff> _handoff;
+    sim::RingQueue<Handoff> _handoff;
     /** Work placed on a worker and waiting for it to run. */
-    DAGGER_OWNED_BY(node) sim::SlotTable<sim::EventFn> _work;
-    DAGGER_OWNED_BY(node) std::uint64_t _submitted = 0;
-    DAGGER_OWNED_BY(node) std::size_t _inflight = 0;
+    sim::SlotTable<sim::EventFn> _work;
+    std::uint64_t _submitted = 0;
+    std::size_t _inflight = 0;
 };
 
 /**
@@ -196,20 +193,20 @@ class RpcServerThread
     WorkerPool *_pool = nullptr;
     ShedPolicy _shed;
     std::unordered_map<proto::FnId, Handler> _handlers;
-    DAGGER_OWNED_BY(node) bool _rxScheduled = false;
-    DAGGER_OWNED_BY(node) bool _paused = false;
-    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _txBacklog;
+    bool _rxScheduled = false;
+    bool _paused = false;
+    sim::RingQueue<proto::RpcMessage> _txBacklog;
     /** Jobs of scheduled _dispatch events, in execute() order. */
-    DAGGER_OWNED_BY(node) sim::RingQueue<Job> _dispatchJobs;
+    sim::RingQueue<Job> _dispatchJobs;
     /** respondLater() responses of scheduled _dispatch events. */
-    DAGGER_OWNED_BY(node) sim::RingQueue<proto::RpcMessage> _lateResponses;
+    sim::RingQueue<proto::RpcMessage> _lateResponses;
     /** Jobs handed to the worker pool (they finish out of order). */
-    DAGGER_OWNED_BY(node) sim::SlotTable<Job> _workerJobs;
-    DAGGER_OWNED_BY(node) std::uint64_t _processed = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _responsesSent = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _txBlocked = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _unhandled = 0;
-    DAGGER_OWNED_BY(node) std::uint64_t _shedCalls = 0;
+    sim::SlotTable<Job> _workerJobs;
+    std::uint64_t _processed = 0;
+    std::uint64_t _responsesSent = 0;
+    std::uint64_t _txBlocked = 0;
+    std::uint64_t _unhandled = 0;
+    std::uint64_t _shedCalls = 0;
 };
 
 /**

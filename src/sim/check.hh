@@ -60,23 +60,4 @@
 
 #endif // DAGGER_ENABLE_CHECKS
 
-/**
- * Shard-ownership annotation for domain-owned mutable state.
- *
- * Placed in front of a member declaration, it names the execution
- * domain that may touch the member during a sharded round:
- *
- *   DAGGER_OWNED_BY(node)   std::uint64_t _forwarded = 0;
- *   DAGGER_OWNED_BY(fabric) std::vector<sim::RingQueue<Txn>> _queues;
- *
- * Domains: `node` (a DaggerNode's parallel shard: NIC pipeline, rings,
- * ToR-port egress, CCI window), `fabric` (shard 0: channel arbitration,
- * serial-phase state), `engine` (sharded-engine internals, owned by the
- * coordinator/worker protocol itself).  The macro expands to nothing —
- * it exists for tools/dagger_lint's whole-program ownership pass and
- * for human readers; sim::OwnershipGuard (sim/ownership.hh) is the
- * runtime twin.  Grammar and rule semantics: docs/ANALYSIS.md.
- */
-#define DAGGER_OWNED_BY(domain)
-
 #endif // DAGGER_SIM_CHECK_HH

@@ -64,13 +64,6 @@ EventQueue::scheduleAt(Tick when, EventFn &&fn, Priority prio)
     dagger_assert(when >= _now,
                   "scheduleAt in the past: when=", when, " now=", _now);
     dagger_assert(fn, "scheduleAt with empty callback");
-    if (when >= _spillHorizon) {
-        // Sharded execution: admissions beyond the current window are
-        // handed back to the owning shard for stamped re-admission at
-        // the next barrier (mailbox.hh).
-        _spillFn(_spillCtx, when, std::move(fn), prio);
-        return;
-    }
     if (!fn.inlineStored())
         ++_stats.heapClosures;
     // A current-frame admission lands in a near-random bucket of the
@@ -252,7 +245,7 @@ EventQueue::peekWheel()
 }
 
 bool
-EventQueue::stepBefore(Tick limit, std::uint64_t tie_bound)
+EventQueue::step(Tick limit)
 {
     if (_wheelCount == 0 && !refill(limit))
         return false;
@@ -261,10 +254,9 @@ EventQueue::stepBefore(Tick limit, std::uint64_t tie_bound)
     // wheel event, so the wheel minimum is the global minimum: no
     // cross-level merge on the pop path.
     const HeapEntry &top = bucket->back();
-    if (top.when > limit || (top.when == limit && top.tie >= tie_bound))
+    if (top.when > limit)
         return false;
     const Tick when = top.when;
-    const std::uint64_t tie = top.tie;
     Event *ev = top.ev;
     // The slot was written when the event was scheduled — typically
     // thousands of events ago, so this read misses cache.  Start the
@@ -283,14 +275,12 @@ EventQueue::stepBefore(Tick limit, std::uint64_t tie_bound)
                      " popped with now=", _now);
     _now = when;
     ++_executed;
-    _curPrio = static_cast<std::uint32_t>(tie >> kSeqBits);
     // Release the slot before invoking so a callback that immediately
     // reschedules reuses it (the common self-clocking pattern hits the
     // free list every time).
     EventFn fn = std::move(ev->fn);
     releaseEvent(ev);
     fn();
-    _curPrio = 0;
     // Warm the likely candidate of the NEXT pop: the callback above
     // ran for long enough that starting this line fill now hides most
     // of the slot-read latency of the following step.  _scanAbs may sit
@@ -317,44 +307,6 @@ EventQueue::runUntil(Tick when)
     }
     if (_now < when)
         _now = when;
-}
-
-void
-EventQueue::runWhileBefore(Tick when, std::uint32_t prio)
-{
-    dagger_assert(when >= _now, "runWhileBefore into the past: when=",
-                  when, " now=", _now);
-    // seq 0 makes the packed bound the infimum of (when, prio, *):
-    // events at earlier ticks and same-tick events of stricter
-    // priority run; everything at (when, prio) or later stays.
-    const std::uint64_t bound = static_cast<std::uint64_t>(prio)
-        << kSeqBits;
-    while (stepBefore(when, bound)) {
-    }
-    if (_now < when)
-        _now = when;
-}
-
-Tick
-EventQueue::nextEventLowerBound() const
-{
-    if (_wheelCount != 0) {
-        // The wheel minimum is the global minimum.
-        return std::max<Tick>(earliestWheelBucket() << kBucketBits, _now);
-    }
-    Tick lb = UINT64_MAX;
-    if (_frameCount != 0) {
-        for (std::uint64_t f = _curFrame + 1; f < _curFrame + kFrames;
-             ++f) {
-            if (!_frames[f & (kFrames - 1)].empty()) {
-                lb = static_cast<Tick>(f) << kFrameShift;
-                break;
-            }
-        }
-    }
-    if (!_far.empty())
-        lb = std::min(lb, _far.front().when);
-    return lb == UINT64_MAX ? lb : std::max(lb, _now);
 }
 
 void

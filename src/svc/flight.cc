@@ -43,7 +43,7 @@ constexpr std::uint64_t kCitizens = 200'000;
 } // namespace
 
 FlightApp::FlightApp(FlightConfig cfg)
-    : _cfg(cfg), _sys(ic::IfaceKind::Upi, {}, {}, cfg.shards),
+    : _cfg(cfg), _sys(ic::IfaceKind::Upi),
       _rng(cfg.seed), _flightRng(cfg.seed ^ 0x666c69676874ull),
       _staffRng(cfg.seed ^ 0x7374616666ull)
 {
@@ -60,8 +60,7 @@ FlightApp::buildTiers()
     const bool optimized = _cfg.model == ThreadingModel::Optimized;
 
     // Tiers (server flow + downstream client flows).  Each tier owns
-    // its cores in its node's shard domain: dispatch on core 0, any
-    // worker threads on cores 1+.
+    // its cores: dispatch on core 0, any worker threads on cores 1+.
     _checkin = std::make_unique<Tier>(_sys, "checkin", 4,
                                       optimized ? 2u : 1u,
                                       nic::NicConfig{}, soft);
@@ -110,8 +109,7 @@ FlightApp::buildTiers()
         _passport->connectTo(*_citizens, nic::LbScheme::Static);
     _toCitizens = std::make_unique<app::KvsClient>(citizens_client);
 
-    // Front-ends: client-only nodes, each with its own core in its
-    // node's domain.
+    // Front-ends: client-only nodes, each with its own core.
     nic::NicConfig fe_cfg;
     fe_cfg.numFlows = 1;
     _passengerNode = &_sys.addNode(fe_cfg, soft);
@@ -153,8 +151,7 @@ FlightApp::installHandlers()
 
     // Flight: bimodal compute, the bottleneck tier (§5.7).  The draw
     // comes from _costRng: the classic interleaved stream in
-    // closed-loop mode, the flight tier's own stream in storm mode
-    // (the handler runs in the flight shard's domain).
+    // closed-loop mode, the flight tier's own stream in storm mode.
     _flight->serverThread().registerHandler(
         kProcess, [this](const proto::RpcMessage &req) {
             rpc::HandlerOutcome out;
@@ -344,8 +341,6 @@ FlightApp::issueRegistration()
     if (_sys.eq().now() >= _stopAt)
         return;
     const double mean_gap_us = 1000.0 / _krps;
-    // The generator lives in the passenger node's domain: it reads
-    // that queue's clock and self-schedules there.
     sim::EventQueue &eq = _passengerNode->eq();
     auto fire = [this] {
         sim::EventQueue &eq = _passengerNode->eq();
@@ -365,13 +360,9 @@ void
 FlightApp::run(double krps, sim::Tick duration, sim::Tick drain)
 {
     dagger_assert(krps > 0, "offered load must be positive");
-    // Closed-loop mode predates the sharded engine and keeps the
-    // classic calibration: every draw — arrival gaps, flight cost
-    // draws, staff traffic — interleaves on the one _rng stream, which
-    // is only race-free when the whole app shares a domain.  Sharded
-    // runs use runStorm(), whose streams are domain-local.
-    dagger_assert(_cfg.shards == 1,
-                  "closed-loop run() is single-shard; use runStorm()");
+    // Closed-loop mode keeps the classic calibration: every draw —
+    // arrival gaps, flight cost draws, staff traffic — interleaves on
+    // the one _rng stream.
     _krps = krps;
     _stopAt = _sys.now() + duration;
     issueRegistration();
@@ -384,9 +375,8 @@ FlightApp::startStaffDriver(sim::Rng &rng)
 {
     if (_cfg.staffReadRate <= 0)
         return;
-    // Staff front-end: background async reads of Airport records,
-    // issued from the staff node's domain (keys drawn over the
-    // citizen id space).  @p rng is the classic interleaved stream in
+    // Staff front-end: background async reads of Airport records
+    // (keys drawn over the citizen id space).  @p rng is the classic interleaved stream in
     // closed-loop mode and the staff-owned stream in storm mode.
     struct StaffDriver
     {
@@ -423,9 +413,9 @@ FlightApp::runStorm(const FlightStormSpec &spec)
 {
     dagger_assert(spec.offeredRps > 0, "offered load must be positive");
     dagger_assert(!_storm, "runStorm called twice");
-    // Storm mode is shard-safe: each draw stream lives in the domain
-    // that consumes it (flight costs in the flight shard, staff
-    // traffic in the staff shard, arrivals in the generator's).
+    // Storm mode draws from per-consumer streams: flight costs from
+    // _flightRng, staff traffic from _staffRng, arrivals from the
+    // generator's cohorts.
     _costRng = &_flightRng;
     _stopAt = _sys.now() + spec.duration;
     if (spec.passengerRetry.enabled())

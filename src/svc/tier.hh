@@ -50,14 +50,9 @@ class Tier
          nic::SoftConfig soft = {});
 
     /**
-     * Shard-safe construction: the tier owns a CpuSet of @p cores
-     * cores created on its *own node's* event queue (core 0 thread 0
-     * becomes the dispatch thread).  On a sharded DaggerSystem every
-     * tier's software then runs in the tier's shard domain — the
-     * external-dispatch constructor above can only place threads in
-     * whatever domain the caller's CpuSet lives in, which is wrong the
-     * moment shards > 1.  At shards == 1 both constructors schedule on
-     * the same single queue and behave identically.
+     * Self-contained construction: the tier owns a CpuSet of @p cores
+     * cores (core 0 thread 0 becomes the dispatch thread), so callers
+     * need not build and keep one alive for it.
      */
     Tier(rpc::DaggerSystem &sys, std::string name, unsigned downstreams,
          unsigned cores, nic::NicConfig cfg = {}, nic::SoftConfig soft = {});
@@ -71,8 +66,8 @@ class Tier
 
     /**
      * Apply the Optimized threading model with @p workers threads from
-     * this tier's own CpuSet (cores 1..workers; requires the shard-safe
-     * constructor and cores > workers).
+     * this tier's own CpuSet (cores 1..workers; requires the
+     * self-contained constructor and cores > workers).
      */
     void useWorkerPool(unsigned workers);
 
@@ -105,7 +100,7 @@ class Tier
     rpc::RpcServerThread &serverThread() { return _server->serverThread(0); }
     rpc::DaggerNode &node() { return *_node; }
     rpc::HwThread &dispatchThread() { return *_dispatch; }
-    /** Core @p i of the tier-owned CpuSet (shard-safe ctor only). */
+    /** Core @p i of the tier-owned CpuSet (self-contained ctor only). */
     rpc::CpuCore &ownCore(unsigned i);
     const std::string &name() const { return _name; }
     rpc::WorkerPool *workerPool() { return _pool.get(); }
@@ -117,8 +112,7 @@ class Tier
     rpc::DaggerSystem &_sys;
     std::string _name;
     rpc::DaggerNode *_node;
-    /** Set by the shard-safe constructor; threads live in the node's
-     *  shard domain. */
+    /** Set by the self-contained constructor. */
     std::unique_ptr<rpc::CpuSet> _ownCpus;
     rpc::HwThread *_dispatch;
     std::unique_ptr<rpc::RpcThreadedServer> _server;

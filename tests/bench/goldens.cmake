@@ -5,8 +5,6 @@
 #
 # Stripped before hashing:
 #   - "wall_clock_sec" (every bench): host wall time;
-#   - "shards" (header key, and perf_sim_throughput's payload rows):
-#     the removed sharded engine's domain count, always 1;
 #   - "events_per_sec" / "wall_ms" (perf_sim_throughput only): the
 #     engine self-benchmark's host-time rates.
 # Every other byte — config, points, anchors, checks — is simulated
@@ -70,8 +68,6 @@ foreach(name IN LISTS names)
     file(READ ${json} text)
     string(REGEX REPLACE "\"wall_clock_sec\": [0-9.eE+-]+,\n" ""
            text "${text}")
-    string(REGEX REPLACE "\"shards\": [0-9]+,\n" "" text "${text}")
-    string(REGEX REPLACE ", \"shards\": [0-9]+" "" text "${text}")
     if(name STREQUAL "perf_sim_throughput")
         string(REGEX REPLACE ", \"(events_per_sec|wall_ms)\": [0-9.eE+-]+"
                "" text "${text}")
@@ -81,20 +77,22 @@ foreach(name IN LISTS names)
     string(APPEND actual "${name} ${digest}\n")
 
     if(NOT DEFINED golden_${name})
-        list(APPEND failures "${name}: no golden; add the line\n"
-             "    ${name} ${digest}")
+        string(CONCAT msg "${name}: no golden; add the line\n"
+               "    ${name} ${digest}")
+        list(APPEND failures "${msg}")
     elseif(NOT digest STREQUAL golden_${name})
-        list(APPEND failures "${name}: simulated output moved; "
-             "normalized JSON in ${json}.normalized\n"
-             "    golden ${golden_${name}}\n"
-             "    actual ${digest}")
+        string(CONCAT msg "${name}: simulated output moved (normalized "
+               "JSON in ${json}.normalized)\n"
+               "    golden ${name} ${golden_${name}}\n"
+               "    actual ${name} ${digest}")
+        list(APPEND failures "${msg}")
     endif()
 endforeach()
 
 foreach(name IN LISTS expected_names)
     if(NOT name IN_LIST names)
-        list(APPEND failures "${name}: golden listed but no such bench "
-             "in ${BENCH_DIR}")
+        list(APPEND failures
+             "${name}: golden listed but no such bench in ${BENCH_DIR}")
     endif()
 endforeach()
 

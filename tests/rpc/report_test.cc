@@ -190,24 +190,4 @@ TEST(Report, JsonExportsHiddenDetailMetrics)
               std::string::npos);
 }
 
-TEST(Report, JsonExportsShardedEngineGauges)
-{
-    // On a sharded system the engine's round-protocol counters are
-    // JSON-only gauges under sim.engine.* / sim.shardN.* (docs/API.md).
-    DaggerSystem sys(ic::IfaceKind::Upi, {}, {}, /*shards=*/3);
-    sys.addNode();
-    sys.addNode();
-    sys.runFor(usToTicks(50));
-    const std::string json = reportSystemJson(sys);
-    for (const char *key :
-         {"\"sim.engine.shards\": 3", "\"sim.engine.rounds\"",
-          "\"sim.engine.solo_runs\"", "\"sim.engine.solo_chunks\"",
-          "\"sim.engine.windows_extended\"",
-          "\"sim.engine.window_ticks_mean\"",
-          "\"sim.engine.serial_elided\"", "\"sim.engine.batch_flushes\"",
-          "\"sim.engine.barrier_parks\"", "\"sim.shard1.executed\"",
-          "\"sim.shard2.cross_recvd\""})
-        EXPECT_NE(json.find(key), std::string::npos) << key;
-}
-
 } // namespace

@@ -332,33 +332,6 @@ TEST(EventOrderProperty, RunUntilEdgeTicksAtBucketAndFrameBoundaries)
     EXPECT_TRUE(eq.empty());
 }
 
-/**
- * Brute-force twin of EventQueue::nextEventLowerBound() for a queue
- * observed between pops.  @p pending holds the tick of every pending
- * event.  Right after a pop the wheel frame is the frame of now(), so
- * an earliest event in that frame sits in the wheel and the bound must
- * be its bucket start (never below now).  Otherwise the bound is only
- * frame/heap granular: it must lie in [now, earliest].
- */
-void
-expectLowerBoundMatchesScan(const EventQueue &eq,
-                            const std::multiset<Tick> &pending)
-{
-    const Tick lb = eq.nextEventLowerBound();
-    if (pending.empty()) {
-        ASSERT_EQ(lb, UINT64_MAX);
-        return;
-    }
-    const Tick earliest = *pending.begin();
-    if (earliest / kFrame == eq.now() / kFrame) {
-        ASSERT_EQ(lb, std::max(eq.now(), earliest / kBucket * kBucket))
-            << "now=" << eq.now() << " earliest=" << earliest;
-    } else {
-        ASSERT_GE(lb, eq.now());
-        ASSERT_LE(lb, earliest) << "now=" << eq.now();
-    }
-}
-
 TEST(EventOrderProperty, SparseSelfSchedulingTraceMatchesReferenceEngine)
 {
     // Few concurrent chains with wide gaps: most pops must search the
@@ -370,82 +343,29 @@ TEST(EventOrderProperty, SparseSelfSchedulingTraceMatchesReferenceEngine)
     EXPECT_GT(stats.frameAdmits, 0u);
 }
 
-TEST(EventOrderProperty, SparseLowerBoundMatchesBruteForceScan)
-{
-    // Same sparse workload, popped one event at a time; after every
-    // step the bitmap-derived lower bound must equal a brute-force
-    // scan over the ticks still pending.
-    EventQueue eq;
-    Rng rng(0xb17b0a);
-    std::multiset<Tick> pending;
-    int budget = 20000;
-    std::function<void()> step = [&] {
-        pending.erase(pending.find(eq.now()));
-        if (--budget <= 0)
-            return;
-        // Occasionally fork a second successor so the wheel holds
-        // several sparse events at once.
-        const int successors = rng.next64() % 4 == 0 ? 2 : 1;
-        for (int s = 0; s < successors; ++s) {
-            const std::uint64_t r = rng.next64();
-            const Tick delay = pickSparseDelay(r);
-            pending.insert(eq.now() + delay);
-            eq.schedule(delay, [&step] { step(); }, pickPriority(r >> 13));
-        }
-    };
-    for (Tick t : {Tick{0}, 70 * kBucket, 3000 * kBucket + 5}) {
-        pending.insert(t);
-        eq.scheduleAt(t, [&step] { step(); });
-    }
-    expectLowerBoundMatchesScan(eq, pending);
-    std::uint64_t steps = 0;
-    while (eq.runOne() && steps < 40000) {
-        ++steps;
-        expectLowerBoundMatchesScan(eq, pending);
-        if (::testing::Test::HasFatalFailure())
-            return;
-    }
-    EXPECT_TRUE(eq.empty());
-    EXPECT_TRUE(pending.empty());
-}
-
 TEST(EventOrderProperty, DrainedSortedBucketIsReadmitted)
 {
     // The scan sorts bucket b, pops its only event, and that event
     // schedules new ones back into b (now empty, still _sortedAbs):
     // the first re-admission appends to the empty bucket, the next
-    // ones insert in sorted position.  Order and the lower bound must
-    // both see the refilled bucket, and then skip the sparse gap to
-    // the far-away event.
+    // ones insert in sorted position.  The order must see the refilled
+    // bucket, and then skip the sparse gap to the far-away event.
     EventQueue eq;
     const Tick t = 700 * kBucket + 10;
     const Tick far = 3900 * kBucket + 7;
     std::vector<int> order;
-    std::multiset<Tick> pending{t, far};
-    auto log = [&](int id) {
-        order.push_back(id);
-        pending.erase(pending.find(eq.now()));
-    };
+    auto log = [&](int id) { order.push_back(id); };
     eq.scheduleAt(far, [&] { log(9); });
     eq.scheduleAt(t, [&] {
         log(0);
-        pending.insert({t + 1, t + 1, t + 2});
         eq.scheduleAt(t + 1, [&] { log(2); }, Priority::Software);
         eq.scheduleAt(t + 2, [&] { log(3); }, Priority::Hardware);
         eq.scheduleAt(t + 1, [&] { log(1); }, Priority::Hardware);
     });
 
-    std::vector<Tick> bounds;
-    while (eq.runOne()) {
-        bounds.push_back(eq.nextEventLowerBound());
-        expectLowerBoundMatchesScan(eq, pending);
-    }
+    eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 9}));
-    // After the parent ran, the refilled bucket holds the minimum; once
-    // it drains again the bound jumps straight to the far bucket.
-    EXPECT_EQ(bounds.front(), t);
-    EXPECT_EQ(bounds[3], far / kBucket * kBucket);
-    EXPECT_EQ(bounds.back(), UINT64_MAX);
+    EXPECT_EQ(eq.now(), far);
 }
 
 TEST(EventOrderProperty, FrameCascadeIntoEmptiedWheel)
@@ -456,13 +376,8 @@ TEST(EventOrderProperty, FrameCascadeIntoEmptiedWheel)
     // frame 0 would point the search at an empty bucket.
     EventQueue eq;
     std::vector<Tick> fired;
-    std::multiset<Tick> pending;
     auto at = [&](Tick when) {
-        pending.insert(when);
-        eq.scheduleAt(when, [&fired, &pending, &eq] {
-            fired.push_back(eq.now());
-            pending.erase(pending.find(eq.now()));
-        });
+        eq.scheduleAt(when, [&fired, &eq] { fired.push_back(eq.now()); });
     };
     for (Tick slot : {100, 1000, 4000})
         at(slot * kBucket + 3);
@@ -470,15 +385,7 @@ TEST(EventOrderProperty, FrameCascadeIntoEmptiedWheel)
     for (Tick slot : {50, 99, 100, 101, 2000, 4095})
         at(base + slot * kBucket + 1);
 
-    expectLowerBoundMatchesScan(eq, pending);
-    while (eq.runOne()) {
-        expectLowerBoundMatchesScan(eq, pending);
-        if (fired.size() == 3) {
-            // Wheel empty, frame 3 still parked: the bound is the start
-            // of the parked frame.
-            EXPECT_EQ(eq.nextEventLowerBound(), base);
-        }
-    }
+    eq.runAll();
     ASSERT_EQ(fired.size(), 9u);
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
     EXPECT_EQ(fired[3], base + 50 * kBucket + 1);

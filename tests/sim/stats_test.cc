@@ -259,8 +259,8 @@ TEST(Histogram, P999BimodalMillionSamples)
 
 TEST(Histogram, MergeThenQuantileIsExactAcrossShards)
 {
-    // Sharded runs keep one histogram per shard and merge at report
-    // time.  Bucket counts are associative, so merge-then-quantile
+    // Per-part histograms (one per tier tracer, one per --jobs
+    // scenario) are merged at report time.  Bucket counts are associative, so merge-then-quantile
     // must equal the quantile of one histogram fed every sample —
     // exactly, not approximately.
     dagger::sim::Rng rng(0x5a4du);

@@ -1,8 +1,8 @@
 /**
  * @file
- * dagger_lint: a token-level, two-pass whole-program linter for
- * discrete-event-simulation determinism invariants (no libclang
- * dependency; see docs/ANALYSIS.md).
+ * dagger_lint: a token-level linter for discrete-event-simulation
+ * determinism invariants (no libclang dependency; see
+ * docs/ANALYSIS.md).
  *
  * Every figure this repo reproduces rests on bit-identical replay of
  * the DES core, so the things that silently break replay are banned as
@@ -23,13 +23,6 @@
  *                                 events (an exception unwinding
  *                                 through EventQueue aborts a run with
  *                                 no simulation context)
- *   no-cross-shard-schedule       scheduling through a system-wide
- *                                 queue accessor chain (sys.eq(),
- *                                 system().eq(), eventQueue()) in
- *                                 src/ or bench/; on a sharded engine
- *                                 the event lands in a foreign domain
- *                                 — use the owning DaggerNode::eq()
- *                                 or a local EventQueue reference
  *   no-payload-memcpy             raw memcpy/memmove of payload bytes
  *                                 in src/ outside src/proto/; the
  *                                 payload path moves
@@ -38,35 +31,12 @@
  *                                 behind the PayloadBuf API so the
  *                                 sim.payload.bytes_copied counter
  *                                 stays honest
- *
- * The shard-ownership audit adds three whole-program rules on top.
- * Pass 1 indexes every member annotated `DAGGER_OWNED_BY(domain)`
- * (sim/check.hh) across all scanned files and derives each class's
- * owning domain; pass 2 classifies every function body's execution
- * context (the owning class's domain for its methods, `fabric` for
- * postApply lambdas — they run in the serial phase on shard 0 — and
- * a sanctioned hand-off context for postCross lambdas) and flags:
- *
- *   owned-state-cross-domain-access  reading another domain's owned
- *                                 member (`obj._m` / `obj->_m`) from
- *                                 a classified foreign context
- *   mailbox-bypass-write          mutating another domain's owned
- *                                 member directly instead of handing
- *                                 the update across with postCross /
- *                                 postApply
  *   shared-mutable-static-in-sim  namespace-scope or function-local
- *                                 mutable static state in src/; such
- *                                 state is shared by every shard once
- *                                 the parallel phase runs (const /
+ *                                 mutable static state in src/; bench
+ *                                 --jobs workers build and run systems
+ *                                 on concurrent threads, so such state
+ *                                 is shared between them (const /
  *                                 constexpr / thread_local are exempt)
- *
- * Honest bounds of the index: member names annotated with conflicting
- * domains in different classes are dropped (accesses through them are
- * not checked), bare and `this->` member accesses are assumed
- * same-class, and unclassified contexts (classes with no owned
- * members, free functions, tests) produce no ownership findings.  The
- * runtime twin, sim::OwnershipGuard (-DDAGGER_OWNERSHIP_AUDIT=ON),
- * covers what the static pass cannot: per-instance shard binding.
  *
  * Findings are suppressed per line with `// dagger-lint: allow(<rule>)`
  * (comma-separated rules, or `all`).  The tag is honored only inside a
@@ -85,7 +55,7 @@
  * sorted, so output order is deterministic).  Every scanned file is
  * loaded into an in-memory cache once; a .cc consults its same-stem
  * header through the cache instead of re-reading it from disk.  With
- * --jobs N pass 2 scans files on N threads; results are merged in
+ * --jobs N files are scanned on N threads; results are merged in
  * input order, so output is byte-identical for every N.  Exit code:
  * 0 when clean, 1 on unsuppressed findings, 2 on usage/IO errors.
  */
@@ -114,10 +84,7 @@ const std::vector<std::string> kAllRules = {
     "no-unordered-iteration-order",
     "no-raw-new-in-sim",
     "event-handler-noexcept",
-    "no-cross-shard-schedule",
     "no-payload-memcpy",
-    "owned-state-cross-domain-access",
-    "mailbox-bypass-write",
     "shared-mutable-static-in-sim",
 };
 
@@ -446,211 +413,20 @@ rangeLeaf(std::string expr)
     return expr;
 }
 
-// ----------------------- ownership index (pass 1) -----------------------
-
-/** One `DAGGER_OWNED_BY(domain)` member declaration. */
-struct OwnedMember
-{
-    std::string cls;    ///< enclosing class/struct
-    std::string member; ///< declared member name
-    std::string domain; ///< owning domain (node/fabric/engine)
-    std::string file;
-    std::size_t line = 0;
-};
+// ------------------- structural scanner (statics) -----------------------
 
 /**
- * The whole-program symbol index.  Member names annotated under
- * conflicting domains in different classes are ambiguous and dropped
- * (an honest bound: accesses through them go unchecked rather than
- * misattributed).  A class's domain is derived from its members; a
- * class whose members span domains stays unclassified.
- */
-struct OwnershipIndex
-{
-    std::vector<OwnedMember> members;
-    std::map<std::string, std::string> memberDomain;
-    std::map<std::string, std::string> classDomain;
-
-    void
-    aggregate()
-    {
-        std::map<std::string, std::set<std::string>> md, cd;
-        for (const OwnedMember &m : members) {
-            md[m.member].insert(m.domain);
-            if (!m.cls.empty())
-                cd[m.cls].insert(m.domain);
-        }
-        for (const auto &kv : md)
-            if (kv.second.size() == 1)
-                memberDomain[kv.first] = *kv.second.begin();
-        for (const auto &kv : cd)
-            if (kv.second.size() == 1)
-                classDomain[kv.first] = *kv.second.begin();
-    }
-};
-
-// ------------------- structural scanner (both passes) -------------------
-
-/**
- * Back-scan from a member token at @p ts: true when the token is
- * reached through `obj.` / `obj->` where obj is not `this`.  Sets
- * @p prefix_mut when the whole object chain is preceded by ++/--.
- */
-bool
-objectAccess(const std::string &flat, std::size_t ts, bool &prefix_mut)
-{
-    prefix_mut = false;
-    auto ws = [](char c) { return c == ' ' || c == '\t' || c == '\n'; };
-    std::size_t p = ts;
-    while (p > 0 && ws(flat[p - 1]))
-        --p;
-    if (p >= 2 && flat[p - 2] == '-' && flat[p - 1] == '>')
-        p -= 2;
-    else if (p >= 1 && flat[p - 1] == '.' && !(p >= 2 && flat[p - 2] == '.'))
-        p -= 1;
-    else
-        return false; // bare access: same-class by construction
-
-    // Walk back over the object expression (ident / (...) / [...]
-    // chains) to find its start; the first component right of the
-    // final separator decides the this-> exemption.
-    std::size_t q = p;
-    bool first = true;
-    for (int guard = 0; guard < 64; ++guard) {
-        while (q > 0 && ws(flat[q - 1]))
-            --q;
-        if (q == 0)
-            break;
-        const char c = flat[q - 1];
-        if (isIdent(c)) {
-            const std::size_t e = q;
-            while (q > 0 && isIdent(flat[q - 1]))
-                --q;
-            if (first && flat.compare(q, e - q, "this") == 0)
-                return false;
-        } else if (c == ')' || c == ']') {
-            const char close = c;
-            const char open = c == ')' ? '(' : '[';
-            int d = 0;
-            while (q > 0) {
-                --q;
-                if (flat[q] == close)
-                    ++d;
-                else if (flat[q] == open && --d == 0)
-                    break;
-            }
-        } else {
-            break;
-        }
-        first = false;
-        // Does the chain continue to the left?
-        std::size_t r = q;
-        while (r > 0 && ws(flat[r - 1]))
-            --r;
-        if (r >= 2 && flat[r - 2] == '-' && flat[r - 1] == '>')
-            q = r - 2;
-        else if (r >= 1 && flat[r - 1] == '.' &&
-                 !(r >= 2 && flat[r - 2] == '.'))
-            q = r - 1;
-        else if (r >= 2 && flat[r - 2] == ':' && flat[r - 1] == ':')
-            q = r - 2;
-        else if (r >= 1 && isIdent(flat[r - 1]))
-            q = r; // callee name directly before a '(' group
-        else {
-            q = r;
-            break;
-        }
-    }
-    while (q > 0 && ws(flat[q - 1]))
-        --q;
-    if (q >= 2 && ((flat[q - 2] == '+' && flat[q - 1] == '+') ||
-                   (flat[q - 2] == '-' && flat[q - 1] == '-')))
-        prefix_mut = true;
-    return true;
-}
-
-/**
- * Forward-scan after a member token ending at @p te: true when the
- * access mutates (assignment, compound assignment, ++/--, or a
- * mutating container-method call, through optional subscripts).
- */
-bool
-mutatesAt(const std::string &flat, std::size_t te)
-{
-    auto ws = [](char c) { return c == ' ' || c == '\t' || c == '\n'; };
-    std::size_t f = te;
-    auto skipws = [&] {
-        while (f < flat.size() && ws(flat[f]))
-            ++f;
-    };
-    skipws();
-    for (int guard = 0; guard < 8 && f < flat.size() && flat[f] == '[';
-         ++guard) {
-        int d = 0;
-        for (; f < flat.size(); ++f) {
-            if (flat[f] == '[')
-                ++d;
-            else if (flat[f] == ']' && --d == 0) {
-                ++f;
-                break;
-            }
-        }
-        skipws();
-    }
-    if (f >= flat.size())
-        return false;
-    const char a = flat[f];
-    const char b = f + 1 < flat.size() ? flat[f + 1] : '\0';
-    const char c = f + 2 < flat.size() ? flat[f + 2] : '\0';
-    if (a == '+' && b == '+')
-        return true;
-    if (a == '-' && b == '-')
-        return true;
-    if (a == '=' && b != '=')
-        return true;
-    if ((a == '+' || a == '-' || a == '*' || a == '/' || a == '%' ||
-         a == '&' || a == '|' || a == '^') &&
-        b == '=')
-        return true;
-    if ((a == '<' && b == '<' && c == '=') ||
-        (a == '>' && b == '>' && c == '='))
-        return true;
-    if (a == '.') {
-        ++f;
-        skipws();
-        std::size_t e = f;
-        while (e < flat.size() && isIdent(flat[e]))
-            ++e;
-        const std::string method = flat.substr(f, e - f);
-        static const std::set<std::string> kMutating = {
-            "push_back", "push_front", "pop_back", "pop_front", "clear",
-            "insert", "erase", "emplace", "emplace_back", "emplace_front",
-            "resize", "assign", "reset", "swap", "merge", "store",
-            "fetch_add", "fetch_sub", "push", "pop",
-        };
-        std::size_t g = e;
-        while (g < flat.size() && ws(flat[g]))
-            ++g;
-        if (g < flat.size() && flat[g] == '(' && kMutating.count(method))
-            return true;
-    }
-    return false;
-}
-
-/**
- * The shared structural walk over one file's blanked code: tracks
- * brace scopes (namespace / class / out-of-line method / postApply or
- * postCross lambda / plain), classifying each body's execution
- * context.  Pass 1 (@p declare non-null) records DAGGER_OWNED_BY
- * member declarations; pass 2 (@p ix / @p active / @p out non-null)
- * emits the three ownership findings.  Preprocessor lines are inert.
+ * shared-mutable-static-in-sim: a brace-scope walk over one file's
+ * blanked code (namespace / class / other body) that flags mutable
+ * namespace-scope variables and function-local statics in src/.
+ * Preprocessor lines are inert.
  */
 void
-structuralScan(const FileText &ft, const OwnershipIndex *ix,
-               std::vector<OwnedMember> *declare,
-               const std::set<std::string> *active,
-               std::vector<Finding> *out)
+ruleSharedMutableStatic(const FileText &ft, std::vector<Finding> &out)
 {
+    if (!isSrcPath(ft.path))
+        return;
+
     // Flatten, blanking preprocessor lines (and their continuations).
     std::string flat;
     {
@@ -677,9 +453,7 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
 
     struct Scope
     {
-        enum Kind { Namespace, Class, Method, Lambda, Plain } kind = Plain;
-        std::string name;   ///< class name (Kind::Class)
-        std::string domain; ///< execution context; "" = unclassified
+        enum Kind { Namespace, Class, Plain } kind = Plain;
         bool restore = false;
         std::vector<std::string> savedBuf;
     };
@@ -687,27 +461,12 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
     std::vector<Scope> scopes;
     std::vector<std::string> buf; ///< tokens since the last ; { }
     bool sawParen = false;
-    int parenDepth = 0;
-    int lambdaDepth = -1;  ///< paren depth at a postApply/postCross '('
-    std::string lambdaCtx; ///< "fabric" (postApply) or "handoff"
-    std::string qualClass; ///< Cls of a pending `Cls::method(` def
     std::size_t line = 1;
 
-    // Declaration capture: rule 3 freezes the declared name at the
-    // first '='; pass 1 tracks the member name after DAGGER_OWNED_BY.
+    // Declaration capture: the declared name freezes at the first '='.
     bool eqSeen = false;
     std::string declName;
     std::size_t declIdents = 0;
-    bool owned = false;
-    std::string ownedDomain, ownedIdent;
-    std::size_t ownedLine = 0;
-
-    const bool inSrc = isSrcPath(ft.path);
-    const bool wantStatics =
-        active && inSrc && active->count("shared-mutable-static-in-sim");
-    const bool wantAccess = ix && active && inSrc &&
-        (active->count("owned-state-cross-domain-access") ||
-         active->count("mailbox-bypass-write"));
 
     auto allNamespace = [&scopes] {
         for (const Scope &s : scopes)
@@ -725,25 +484,9 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
                 ++n;
         return n;
     };
-    auto recordOwned = [&] {
-        if (owned && declare && !ownedIdent.empty()) {
-            std::string cls;
-            for (auto it = scopes.rbegin(); it != scopes.rend(); ++it)
-                if (it->kind == Scope::Class) {
-                    cls = it->name;
-                    break;
-                }
-            if (!cls.empty())
-                declare->push_back(
-                    {cls, ownedIdent, ownedDomain, ft.path, ownedLine});
-        }
-        owned = false;
-        ownedIdent.clear();
-    };
     auto clearStmt = [&] {
         buf.clear();
         sawParen = false;
-        qualClass.clear();
         eqSeen = false;
         declName.clear();
         declIdents = 0;
@@ -773,88 +516,11 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
         if (c == ' ' || c == '\t')
             continue;
         if (isIdentStart(c)) {
-            const std::size_t ts = i;
             std::size_t te = i;
             while (te < flat.size() && isIdent(flat[te]))
                 ++te;
-            const std::string tok = flat.substr(ts, te - ts);
+            buf.push_back(flat.substr(i, te - i));
             i = te - 1;
-            if (tok == "DAGGER_OWNED_BY") {
-                // Parse and swallow `(domain)` so neither the paren
-                // nor the domain word perturbs the statement state.
-                std::size_t j = te;
-                std::size_t nl = 0;
-                auto skip = [&] {
-                    while (j < flat.size() &&
-                           (flat[j] == ' ' || flat[j] == '\t' ||
-                            flat[j] == '\n')) {
-                        if (flat[j] == '\n')
-                            ++nl;
-                        ++j;
-                    }
-                };
-                skip();
-                if (j < flat.size() && flat[j] == '(') {
-                    ++j;
-                    skip();
-                    const std::size_t ds = j;
-                    while (j < flat.size() && isIdent(flat[j]))
-                        ++j;
-                    const std::string dom = flat.substr(ds, j - ds);
-                    skip();
-                    if (j < flat.size() && flat[j] == ')' && !dom.empty()) {
-                        owned = true;
-                        ownedDomain = dom;
-                        ownedIdent.clear();
-                        line += nl;
-                        i = j;
-                    }
-                }
-                continue;
-            }
-            if (owned) {
-                ownedIdent = tok;
-                ownedLine = line;
-            }
-            buf.push_back(tok);
-            if (wantAccess && tok[0] == '_' && !scopes.empty()) {
-                const auto itd = ix->memberDomain.find(tok);
-                if (itd != ix->memberDomain.end()) {
-                    const std::string &ctx = scopes.back().domain;
-                    if (!ctx.empty() && ctx != "handoff" &&
-                        ctx != itd->second) {
-                        bool prefixMut = false;
-                        if (objectAccess(flat, ts, prefixMut)) {
-                            const bool mut = prefixMut || mutatesAt(flat, te);
-                            const char *rule = mut
-                                ? "mailbox-bypass-write"
-                                : "owned-state-cross-domain-access";
-                            if (active->count(rule)) {
-                                std::string msg = mut
-                                    ? "write to '" + tok +
-                                        "' (DAGGER_OWNED_BY(" +
-                                        itd->second + ")) from '" + ctx +
-                                        "'-context code bypasses the "
-                                        "mailbox hand-off; post the "
-                                        "update with postCross so it "
-                                        "lands with a deterministic "
-                                        "stamp, or apply it on shard 0 "
-                                        "via postApply"
-                                    : "'" + tok + "' is DAGGER_OWNED_BY(" +
-                                        itd->second +
-                                        ") but read from '" + ctx +
-                                        "'-context code; cross-domain "
-                                        "reads race during the parallel "
-                                        "phase — hand the value across "
-                                        "with postCross or read it in "
-                                        "the serial phase";
-                                out->push_back(
-                                    {ft.path, line, rule, std::move(msg)});
-                            }
-                        }
-                    }
-                }
-            }
             continue;
         }
         switch (c) {
@@ -865,30 +531,9 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
             }
             break;
           case '(':
-            if (lambdaDepth < 0 && !buf.empty() &&
-                (buf.back() == "postApply" || buf.back() == "postCross")) {
-                // The fn argument's lambda body runs in the serial
-                // phase (postApply → shard 0 / fabric) or lands via a
-                // mailbox (postCross → sanctioned hand-off).
-                lambdaCtx = buf.back() == "postApply" ? "fabric" : "handoff";
-                lambdaDepth = parenDepth;
-            }
-            if (parenDepth == 0 && buf.size() >= 3 &&
-                buf[buf.size() - 2] == "::" && allNamespace())
-                qualClass = buf[buf.size() - 3];
             sawParen = true;
-            ++parenDepth;
-            break;
-          case ')':
-            if (parenDepth > 0)
-                --parenDepth;
-            if (lambdaDepth >= 0 && parenDepth <= lambdaDepth) {
-                lambdaDepth = -1;
-                lambdaCtx.clear();
-            }
             break;
           case '=': {
-            recordOwned();
             const char prev = i > 0 ? flat[i - 1] : '\0';
             const char next = i + 1 < flat.size() ? flat[i + 1] : '\0';
             if (!eqSeen && next != '=' && prev != '=' && prev != '!' &&
@@ -904,46 +549,18 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
             break;
           }
           case '{': {
-            recordOwned();
             Scope s;
-            const std::string inherited =
-                scopes.empty() ? std::string() : scopes.back().domain;
             if (bufHas("namespace")) {
                 s.kind = Scope::Namespace;
-            } else if (lambdaDepth >= 0 && parenDepth > lambdaDepth) {
-                s.kind = Scope::Lambda;
-                s.domain = lambdaCtx;
-                lambdaDepth = -1;
-                lambdaCtx.clear();
-            } else if (bufHas("enum")) {
-                s.kind = Scope::Class; // enumerators carry no context
-            } else if (bufHas("class") || bufHas("struct") ||
-                       bufHas("union")) {
+            } else if (bufHas("enum") || bufHas("class") ||
+                       bufHas("struct") || bufHas("union")) {
                 s.kind = Scope::Class;
-                for (std::size_t k = 0; k + 1 < buf.size(); ++k)
-                    if (buf[k] == "class" || buf[k] == "struct" ||
-                        buf[k] == "union") {
-                        if (buf[k + 1] != "::")
-                            s.name = buf[k + 1];
-                    }
-                if (ix && !s.name.empty()) {
-                    const auto it = ix->classDomain.find(s.name);
-                    if (it != ix->classDomain.end())
-                        s.domain = it->second;
-                }
-            } else if (!qualClass.empty()) {
-                s.kind = Scope::Method;
-                if (ix) {
-                    const auto it = ix->classDomain.find(qualClass);
-                    if (it != ix->classDomain.end())
-                        s.domain = it->second;
-                }
             } else {
-                // Inline method bodies, control blocks, plain lambdas,
-                // initializer braces: inherit the enclosing context.
+                // Function bodies, control blocks, lambdas, initializer
+                // braces.  A brace-init (no parenthesis yet) resumes
+                // its declaration statement at the closing brace.
                 s.kind = Scope::Plain;
-                s.domain = inherited;
-                s.restore = !sawParen; // declaration brace-init
+                s.restore = !sawParen;
                 s.savedBuf = buf;
             }
             scopes.push_back(std::move(s));
@@ -964,14 +581,10 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
                 buf.clear();
                 sawParen = false;
             }
-            qualClass.clear();
-            owned = false;
-            ownedIdent.clear();
             break;
           }
           case ';': {
-            recordOwned();
-            if (wantStatics && !sawParen && !bannedForStatic()) {
+            if (!sawParen && !bannedForStatic()) {
                 const std::size_t nIdents =
                     eqSeen ? declIdents : identCount();
                 const std::string name = eqSeen
@@ -980,25 +593,22 @@ structuralScan(const FileText &ft, const OwnershipIndex *ix,
                                                          : buf.back());
                 const bool nsScope = allNamespace();
                 const bool fnLocal = !nsScope && !scopes.empty() &&
-                    scopes.back().kind != Scope::Class &&
-                    scopes.back().kind != Scope::Namespace &&
-                    bufHas("static");
+                    scopes.back().kind == Scope::Plain && bufHas("static");
                 if (!name.empty() && isIdentStart(name[0])) {
                     if (nsScope && nIdents >= 2) {
-                        out->push_back(
+                        out.push_back(
                             {ft.path, line, "shared-mutable-static-in-sim",
                              "namespace-scope mutable state '" + name +
-                                 "' is shared by every shard once the "
-                                 "parallel phase runs; make it "
-                                 "const/constexpr, thread_local, or "
-                                 "per-shard state reached via the "
-                                 "owning domain"});
+                                 "' is shared by every --jobs worker "
+                                 "thread that builds a system; make it "
+                                 "const/constexpr, thread_local, or a "
+                                 "member of the object that uses it"});
                     } else if (fnLocal && nIdents >= 3) {
-                        out->push_back(
+                        out.push_back(
                             {ft.path, line, "shared-mutable-static-in-sim",
                              "function-local static '" + name +
                                  "' is created and mutated concurrently "
-                                 "by parallel-phase shards; hoist it "
+                                 "by --jobs worker threads; hoist it "
                                  "into an owned object, or make it "
                                  "const/constexpr or thread_local"});
                     }
@@ -1187,43 +797,6 @@ ruleEventHandlerNoexcept(const FileText &ft, const FileText *header,
 }
 
 void
-ruleNoCrossShardSchedule(const FileText &ft, std::vector<Finding> &out)
-{
-    // Polices the simulator proper and the benches (both run under the
-    // sharded engine).  Tests and examples drive single-queue rigs
-    // from the outside and are exempt — including tests/bench/.
-    if (ft.path.find("tests/") != std::string::npos)
-        return;
-    if (ft.path.find("src/") == std::string::npos &&
-        ft.path.find("bench/") == std::string::npos)
-        return;
-    // Raw substring match, not findToken: the accessor *chain* is the
-    // smell.  `_node.eq().schedule(...)` is the sanctioned per-domain
-    // form and is deliberately not matched.  The trailing "schedule"
-    // also catches scheduleAt.
-    static const char *pats[] = {
-        "sys.eq().schedule",      // _sys. / sys. / rig.sys. prefixes
-        "system().eq().schedule", // node->system() chains
-        "eventQueue().schedule",  // another component's queue accessor
-    };
-    for (std::size_t i = 0; i < ft.code.size(); ++i) {
-        const std::string &line = ft.code[i];
-        for (const char *p : pats) {
-            if (line.find(p) == std::string::npos)
-                continue;
-            out.push_back(
-                {ft.path, i + 1, "no-cross-shard-schedule",
-                 std::string("scheduling through '") + p +
-                     "(...)': on a sharded engine this queue can belong "
-                     "to a foreign domain; schedule on the owning "
-                     "DaggerNode::eq() (or a local EventQueue ref) "
-                     "instead"});
-            break;
-        }
-    }
-}
-
-void
 ruleNoPayloadMemcpy(const FileText &ft, std::vector<Finding> &out)
 {
     // Polices the simulator proper.  src/proto/ is the one sanctioned
@@ -1295,7 +868,7 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Per-file pass-2 result, merged in input order for determinism. */
+/** Per-file result, merged in input order for determinism. */
 struct ScanResult
 {
     std::vector<Finding> findings;
@@ -1303,7 +876,7 @@ struct ScanResult
 };
 
 ScanResult
-scanOne(const FileText &ft, const FileText *header, const OwnershipIndex &ix,
+scanOne(const FileText &ft, const FileText *header,
         const std::set<std::string> &active)
 {
     std::vector<Finding> fileFindings;
@@ -1317,14 +890,10 @@ scanOne(const FileText &ft, const FileText *header, const OwnershipIndex &ix,
         ruleNoRawNew(ft, fileFindings);
     if (active.count("event-handler-noexcept"))
         ruleEventHandlerNoexcept(ft, header, fileFindings);
-    if (active.count("no-cross-shard-schedule"))
-        ruleNoCrossShardSchedule(ft, fileFindings);
     if (active.count("no-payload-memcpy"))
         ruleNoPayloadMemcpy(ft, fileFindings);
-    if (active.count("owned-state-cross-domain-access") ||
-        active.count("mailbox-bypass-write") ||
-        active.count("shared-mutable-static-in-sim"))
-        structuralScan(ft, &ix, nullptr, &active, &fileFindings);
+    if (active.count("shared-mutable-static-in-sim"))
+        ruleSharedMutableStatic(ft, fileFindings);
 
     ScanResult r;
     for (Finding &f : fileFindings) {
@@ -1481,18 +1050,7 @@ main(int argc, char **argv)
         units.push_back(u);
     }
 
-    // Pass 1: whole-program DAGGER_OWNED_BY symbol index over every
-    // cached file (scan set + paired headers), in sorted-path order.
-    OwnershipIndex ix;
-    if (active.count("owned-state-cross-domain-access") ||
-        active.count("mailbox-bypass-write")) {
-        for (const auto &kv : cache)
-            structuralScan(kv.second, nullptr, &ix.members, nullptr,
-                           nullptr);
-        ix.aggregate();
-    }
-
-    // Pass 2: scan units, optionally on a thread pool.  Each unit
+    // Scan units, optionally on a thread pool.  Each unit
     // writes its own slot; the merge below walks slots in input order,
     // so findings and counts are byte-identical for every --jobs N.
     std::vector<ScanResult> results(units.size());
@@ -1500,7 +1058,7 @@ main(int argc, char **argv)
     auto worker = [&] {
         for (std::size_t k = nextUnit.fetch_add(1); k < units.size();
              k = nextUnit.fetch_add(1))
-            results[k] = scanOne(*units[k].ft, units[k].header, ix, active);
+            results[k] = scanOne(*units[k].ft, units[k].header, active);
     };
     if (jobs <= 1 || units.size() <= 1) {
         worker();
