@@ -460,8 +460,7 @@ class BenchContext
                     _name.c_str(), defaultJsonPath().c_str());
                 std::exit(0);
             }
-            // Unknown flags are ignored so wrapped frameworks
-            // (google-benchmark) can keep their own.
+            // Unknown flags are ignored.
         }
     }
 

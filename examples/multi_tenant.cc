@@ -121,6 +121,6 @@ main()
     std::printf("  CCI-P arbiter grants per port: min=%llu max=%llu\n",
                 static_cast<unsigned long long>(lo),
                 static_cast<unsigned long long>(hi));
-    std::printf("\n%s", rpc::reportSystem(sys).c_str());
+    std::printf("\n%s", rpc::reportSystemJson(sys).c_str());
     return ok ? 0 : 1;
 }

@@ -46,34 +46,25 @@ CciFabric::registerMetrics(sim::MetricScope scope)
 {
     dagger_assert(!_metricScope, "fabric metrics registered twice");
     _metricScope = scope;
-    // The two channel directions, in legacy report order.  The
-    // utilization gauges are windowed over the whole simulated time.
+    // The two channel directions.  The utilization gauges are windowed
+    // over the whole simulated time.
     scope.gauge("to_nic.utilization",
-                [this] { return _toNic.utilization(_eq.now()); },
-                sim::MetricText::Show, "ccip_to_nic_utilization");
+                [this] { return _toNic.utilization(_eq.now()); });
     scope.gauge("to_host.utilization",
-                [this] { return _toHost.utilization(_eq.now()); },
-                sim::MetricText::Show, "ccip_to_host_utilization");
-    scope.intGauge("to_nic.lines",
-                   [this] { return _toNic.linesServiced(); },
-                   sim::MetricText::Show, "ccip_lines_to_nic");
+                [this] { return _toHost.utilization(_eq.now()); });
+    scope.intGauge("to_nic.lines", [this] { return _toNic.linesServiced(); });
     scope.intGauge("to_host.lines",
-                   [this] { return _toHost.linesServiced(); },
-                   sim::MetricText::Show, "ccip_lines_to_host");
-    scope.intGauge("to_nic.txns", [this] { return _toNic.txnsServiced(); },
-                   sim::MetricText::Hide);
-    scope.intGauge("to_host.txns", [this] { return _toHost.txnsServiced(); },
-                   sim::MetricText::Hide);
+                   [this] { return _toHost.linesServiced(); });
+    scope.intGauge("to_nic.txns", [this] { return _toNic.txnsServiced(); });
+    scope.intGauge("to_host.txns", [this] { return _toHost.txnsServiced(); });
     scope.intGauge("to_nic.busy_ticks",
                    [this] {
                        return static_cast<std::uint64_t>(_toNic.busyTicks());
-                   },
-                   sim::MetricText::Hide);
+                   });
     scope.intGauge("to_host.busy_ticks",
                    [this] {
                        return static_cast<std::uint64_t>(_toHost.busyTicks());
-                   },
-                   sim::MetricText::Hide);
+                   });
     for (auto &port : _ports)
         registerPortMetrics(*port);
 }
@@ -83,20 +74,11 @@ CciFabric::registerPortMetrics(CciPort &port)
 {
     std::string leaf = "port" + std::to_string(port.id());
     sim::MetricScope scope = _metricScope->sub(leaf);
-    // Per-port transaction detail never appeared in the legacy report.
-    scope.intGauge("fetch_txns",
-                   [&port] { return port.fetchTxns(); },
-                   sim::MetricText::Hide);
-    scope.intGauge("post_txns", [&port] { return port.postTxns(); },
-                   sim::MetricText::Hide);
-    scope.intGauge("lines_fetched",
-                   [&port] { return port.linesFetched(); },
-                   sim::MetricText::Hide);
-    scope.intGauge("lines_posted",
-                   [&port] { return port.linesPosted(); },
-                   sim::MetricText::Hide);
-    scope.intGauge("stalls", [&port] { return port.stalls(); },
-                   sim::MetricText::Hide);
+    scope.intGauge("fetch_txns", [&port] { return port.fetchTxns(); });
+    scope.intGauge("post_txns", [&port] { return port.postTxns(); });
+    scope.intGauge("lines_fetched", [&port] { return port.linesFetched(); });
+    scope.intGauge("lines_posted", [&port] { return port.linesPosted(); });
+    scope.intGauge("stalls", [&port] { return port.stalls(); });
 }
 
 CciPort &

@@ -69,12 +69,11 @@ class Hcc
     double hitRate() const { return _lines.hitRate(); }
     sim::Tick missLatency() const { return _missLatency; }
 
-    /** Register HCC statistics; the hit rate is text-visible. */
+    /** Register HCC statistics. */
     void
     registerMetrics(sim::MetricScope scope) const
     {
-        _lines.registerMetrics(scope, sim::MetricText::Show,
-                               "hcc_hit_rate");
+        _lines.registerMetrics(scope);
     }
 
   private:

@@ -98,18 +98,12 @@ class SetAssocLruCache
 
     /** Register this cache's statistics under @p scope. */
     void
-    registerMetrics(sim::MetricScope scope,
-                    sim::MetricText hit_rate_text = sim::MetricText::Hide,
-                    std::string hit_rate_label = {}) const
+    registerMetrics(sim::MetricScope scope) const
     {
-        scope.gauge("hit_rate", [this] { return hitRate(); },
-                    hit_rate_text, std::move(hit_rate_label));
-        scope.intGauge("hits", [this] { return _hits; },
-                       sim::MetricText::Hide);
-        scope.intGauge("misses", [this] { return _misses; },
-                       sim::MetricText::Hide);
-        scope.intGauge("evictions", [this] { return _evictions; },
-                       sim::MetricText::Hide);
+        scope.gauge("hit_rate", [this] { return hitRate(); });
+        scope.intGauge("hits", [this] { return _hits; });
+        scope.intGauge("misses", [this] { return _misses; });
+        scope.intGauge("evictions", [this] { return _evictions; });
     }
 
   private:

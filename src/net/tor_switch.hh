@@ -133,10 +133,8 @@ class TorSwitch
     void
     registerMetrics(sim::MetricScope scope)
     {
-        scope.intGauge("forwarded", [this] { return forwarded(); },
-                       sim::MetricText::Show, "tor_forwarded");
-        scope.intGauge("dropped", [this] { return dropped(); },
-                       sim::MetricText::Show, "tor_dropped");
+        scope.intGauge("forwarded", [this] { return forwarded(); });
+        scope.intGauge("dropped", [this] { return dropped(); });
     }
 
   private:

@@ -98,8 +98,8 @@ class DaggerNic
 
     /**
      * Register all NIC statistics under @p scope: the Packet Monitor
-     * first (legacy order), then the connection cache, HCC, and the
-     * TX-path request buffer as child scopes.
+     * first, then the connection cache, HCC, and the TX-path request
+     * buffer as child scopes.
      */
     void
     registerMetrics(sim::MetricScope scope) const

@@ -71,10 +71,7 @@ struct PacketMonitor
         return dropsNoConnection.value() + dropsNoSlot.value();
     }
 
-    /**
-     * Register all monitor statistics under @p scope, in legacy report
-     * order.  post_batch never appeared in the text report.
-     */
+    /** Register all monitor statistics under @p scope. */
     void
     registerMetrics(sim::MetricScope scope) const
     {
@@ -89,7 +86,7 @@ struct PacketMonitor
         scope.counter("malformed", malformed);
         scope.counter("timeout_flushes", timeoutFlushes);
         scope.histogram("fetch_batch", fetchBatch);
-        scope.histogram("post_batch", postBatch, sim::MetricText::Hide);
+        scope.histogram("post_batch", postBatch);
     }
 };
 

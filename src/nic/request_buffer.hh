@@ -64,20 +64,17 @@ class RequestBuffer
     std::uint64_t pushes() const { return _pushes; }
     std::uint64_t rejections() const { return _rejections; }
 
-    /** Register buffer statistics (JSON-only). */
+    /** Register buffer statistics. */
     void
     registerMetrics(sim::MetricScope scope) const
     {
-        scope.intGauge("pushes", [this] { return _pushes; },
-                       sim::MetricText::Hide);
-        scope.intGauge("rejections", [this] { return _rejections; },
-                       sim::MetricText::Hide);
+        scope.intGauge("pushes", [this] { return _pushes; });
+        scope.intGauge("rejections", [this] { return _rejections; });
         scope.intGauge("free_slots",
                        [this] {
                            return static_cast<std::uint64_t>(
                                _freeFifo.size());
-                       },
-                       sim::MetricText::Hide);
+                       });
     }
 
   private:

@@ -5,24 +5,6 @@
 namespace dagger::rpc {
 
 std::string
-reportNic(DaggerNode &node)
-{
-    return node.system().metrics().renderText(
-        "node" + std::to_string(node.id()));
-}
-
-std::string
-reportSystem(DaggerSystem &sys)
-{
-    std::ostringstream os;
-    const sim::Tick now = sys.eq().now();
-    os << "=== dagger system report @ " << sim::ticksToUs(now)
-       << " us simulated ===\n";
-    os << sys.metrics().renderText();
-    return os.str();
-}
-
-std::string
 reportSystemJson(DaggerSystem &sys)
 {
     std::ostringstream os;

@@ -1,13 +1,13 @@
 /**
  * @file
- * Human-readable statistics reports (gem5 stats-dump style).
+ * System-wide statistics export.
  *
  * The paper's Packet Monitor "collects various networking statistics"
  * (§4.1); this is the operator-facing view: per-NIC counters, channel
  * utilization, connection-cache and HCC hit rates, ring/switch drops.
  *
- * Both reports are generic walks over the system's MetricRegistry
- * (see sim/metrics.hh); components register their statistics at
+ * The export is a generic walk over the system's MetricRegistry (see
+ * sim/metrics.hh); components register their statistics at
  * construction, nothing here knows any component's internals.
  */
 
@@ -20,16 +20,10 @@
 
 namespace dagger::rpc {
 
-/** Render one NIC's monitor/caches as an indented text block. */
-std::string reportNic(DaggerNode &node);
-
-/** Render the whole deployment: fabric, switch, every node. */
-std::string reportSystem(DaggerSystem &sys);
-
 /**
- * The same system-wide statistics as a JSON object: a "time_us"
- * timestamp plus a "metrics" map of every registered metric (including
- * the ones the text report hides) keyed by hierarchical name.
+ * The system-wide statistics as a JSON object: a "time_us" timestamp
+ * plus a "metrics" map of every registered metric keyed by
+ * hierarchical name.
  */
 std::string reportSystemJson(DaggerSystem &sys);
 

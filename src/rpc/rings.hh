@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "proto/wire.hh"
@@ -265,40 +264,27 @@ struct FlowRings
     TxRing tx;
     RxRing rx;
 
-    /**
-     * Register ring-health statistics.  Only the RX drop count is
-     * text-visible, under the caller-supplied legacy label
-     * ("flow<N>_rx_drops").
-     */
+    /** Register ring-health statistics. */
     void
-    registerMetrics(sim::MetricScope scope,
-                    std::string rx_drops_label) const
+    registerMetrics(sim::MetricScope scope) const
     {
-        scope.intGauge("rx.drops", [this] { return rx.drops(); },
-                       sim::MetricText::Show, std::move(rx_drops_label));
+        scope.intGauge("rx.drops", [this] { return rx.drops(); });
         scope.intGauge("rx.delivered_frames",
-                       [this] { return rx.deliveredFrames(); },
-                       sim::MetricText::Hide);
-        scope.intGauge("rx.malformed", [this] { return rx.malformed(); },
-                       sim::MetricText::Hide);
+                       [this] { return rx.deliveredFrames(); });
+        scope.intGauge("rx.malformed", [this] { return rx.malformed(); });
         scope.intGauge("rx.occupied",
                        [this] {
                            return static_cast<std::uint64_t>(rx.occupied());
-                       },
-                       sim::MetricText::Hide);
+                       });
         scope.intGauge("tx.pushed_frames",
-                       [this] { return tx.pushedFrames(); },
-                       sim::MetricText::Hide);
+                       [this] { return tx.pushedFrames(); });
         scope.intGauge("tx.popped_frames",
-                       [this] { return tx.poppedFrames(); },
-                       sim::MetricText::Hide);
-        scope.intGauge("tx.blocked", [this] { return tx.blocked(); },
-                       sim::MetricText::Hide);
+                       [this] { return tx.poppedFrames(); });
+        scope.intGauge("tx.blocked", [this] { return tx.blocked(); });
         scope.intGauge("tx.used",
                        [this] {
                            return static_cast<std::uint64_t>(tx.used());
-                       },
-                       sim::MetricText::Hide);
+                       });
     }
 };
 

@@ -1,7 +1,5 @@
 #include "rpc/system.hh"
 
-#include <sstream>
-
 #include "proto/payload.hh"
 #include "sim/logging.hh"
 
@@ -11,68 +9,46 @@ DaggerSystem::DaggerSystem(ic::IfaceKind iface, ic::UpiCost upi,
                            ic::PcieCost pcie)
     : _fabric(_eq, iface, 0, upi, pcie), _tor(_eq)
 {
-    // Registration order here and in addNode() is the legacy report's
-    // print order; renderText() walks entries in that order.
+    // Registration order here and in addNode() is the JSON export's
+    // key order.
     sim::MetricScope root(_metrics, "");
     _fabric.registerMetrics(root.sub("fabric"));
     _tor.registerMetrics(root.sub("tor"));
     root.intGauge("events_executed", [this] { return eventsExecuted(); });
     // Engine internals (event pool + two-level scheduler, docs/PERF.md).
-    // Hidden from the legacy text report, which is compared
-    // byte-for-byte by tests; JSON consumers see them under sim.events.*.
     sim::MetricScope events = root.sub("sim").sub("events");
-    events.intGauge("pool_hits",
-                    [this] { return engineStats().poolHits; },
-                    sim::MetricText::Hide);
+    events.intGauge("pool_hits", [this] { return engineStats().poolHits; });
     events.intGauge("pool_misses",
-                    [this] { return engineStats().poolMisses; },
-                    sim::MetricText::Hide);
+                    [this] { return engineStats().poolMisses; });
     events.intGauge("pool_blocks",
-                    [this] { return engineStats().poolBlocks; },
-                    sim::MetricText::Hide);
+                    [this] { return engineStats().poolBlocks; });
     events.intGauge("wheel_admits",
-                    [this] { return engineStats().wheelAdmits; },
-                    sim::MetricText::Hide);
+                    [this] { return engineStats().wheelAdmits; });
     events.intGauge("frame_admits",
-                    [this] { return engineStats().frameAdmits; },
-                    sim::MetricText::Hide);
+                    [this] { return engineStats().frameAdmits; });
     events.intGauge("heap_admits",
-                    [this] { return engineStats().heapAdmits; },
-                    sim::MetricText::Hide);
+                    [this] { return engineStats().heapAdmits; });
     events.intGauge("max_pending",
-                    [this] { return engineStats().maxPending; },
-                    sim::MetricText::Hide);
-    // Client retry/timeout behaviour, aggregated across all RpcClients
-    // (JSON-only, like sim.events.*: the text report is byte-compared).
+                    [this] { return engineStats().maxPending; });
+    // Client retry/timeout behaviour, aggregated across all RpcClients.
     sim::MetricScope rel = root.sub("rpc").sub("reliability");
-    rel.intGauge("retries", [this] { return _reliability.retries; },
-                 sim::MetricText::Hide);
-    rel.intGauge("timeouts",
-                 [this] { return _reliability.timeouts; },
-                 sim::MetricText::Hide);
-    rel.intGauge("completions",
-                 [this] { return _reliability.completions; },
-                 sim::MetricText::Hide);
+    rel.intGauge("retries", [this] { return _reliability.retries; });
+    rel.intGauge("timeouts", [this] { return _reliability.timeouts; });
+    rel.intGauge("completions", [this] { return _reliability.completions; });
     rel.intGauge("late_responses",
-                 [this] { return _reliability.lateResponses; },
-                 sim::MetricText::Hide);
+                 [this] { return _reliability.lateResponses; });
     rel.intGauge("spurious_arms",
-                 [this] { return _reliability.spuriousArms; },
-                 sim::MetricText::Hide);
-    rel.intGauge("resend_drops",
-                 [this] { return _reliability.resendDrops; },
-                 sim::MetricText::Hide);
-    // Payload-path traffic accounting (JSON-only).  The counters are
+                 [this] { return _reliability.spuriousArms; });
+    rel.intGauge("resend_drops", [this] { return _reliability.resendDrops; });
+    // Payload-path traffic accounting.  The counters are
     // process-global (proto::payloadStats()), not per-system: they
     // prove the zero-copy invariant — bytes_copied stays O(payload)
     // per RPC while handle_passes grows with hop count.
     sim::MetricScope pay = root.sub("sim").sub("payload");
     pay.intGauge("bytes_copied",
-                 [] { return proto::payloadStats().bytesCopied; },
-                 sim::MetricText::Hide);
+                 [] { return proto::payloadStats().bytesCopied; });
     pay.intGauge("handle_passes",
-                 [] { return proto::payloadStats().handlePasses; },
-                 sim::MetricText::Hide);
+                 [] { return proto::payloadStats().handlePasses; });
 }
 
 FlowRings &
@@ -105,15 +81,10 @@ DaggerSystem::addNode(nic::NicConfig cfg, nic::SoftConfig soft)
 
     sim::MetricScope scope(_metrics,
                            "node" + std::to_string(node->_id));
-    std::ostringstream title;
-    title << "nic" << node->_id << " (" << ic::ifaceName(cfg.iface)
-          << ", " << cfg.numFlows << " flows)";
-    scope.section(title.str());
     node->_nic->registerMetrics(scope.sub("nic"));
     for (unsigned f = 0; f < cfg.numFlows; ++f)
         node->_rings[f]->registerMetrics(
-            scope.sub("flow" + std::to_string(f)),
-            "flow" + std::to_string(f) + "_rx_drops");
+            scope.sub("flow" + std::to_string(f)));
 
     _nodes.push_back(std::move(node));
     return *_nodes.back();

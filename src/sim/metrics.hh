@@ -13,11 +13,8 @@
  *   node1.flow0.rx.drops
  *   fabric.to_nic.utilization
  *
- * and reports become generic registry walks.  Two renderers ship: a
- * text renderer that reproduces the legacy gem5-style report byte for
- * byte (entries carry an optional display label and a text-visibility
- * flag for that), and a JSON renderer that exports *every* metric,
- * including the text-hidden ones.
+ * and reports become generic registry walks.  The one renderer,
+ * renderJson(), exports every metric under its full name.
  *
  * The registry stores non-owning pointers / closures; the owner of the
  * registered objects (normally rpc::DaggerSystem) must outlive it.
@@ -36,12 +33,6 @@
 
 namespace dagger::sim {
 
-/** Entry visibility in the legacy text report (JSON always shows all). */
-enum class MetricText : std::uint8_t {
-    Show, ///< rendered by renderText()
-    Hide, ///< JSON-only (detail counters the legacy report never printed)
-};
-
 /** A flat, ordered collection of named metrics. */
 class MetricRegistry
 {
@@ -51,87 +42,53 @@ class MetricRegistry
         IntGauge,  ///< computed integral value
         Gauge,     ///< computed floating-point value
         Histogram, ///< sim::Histogram
-        Section,   ///< text-report section header (no value)
+        Section,   ///< never registered; perfbench's snapshot() still names it
     };
 
     struct Entry
     {
         Kind kind;
-        std::string name;  ///< full hierarchical dotted name
-        std::string label; ///< text-report display label
-        MetricText text = MetricText::Show;
+        std::string name; ///< full hierarchical dotted name
         const Counter *counter = nullptr;
         const Histogram *histogram = nullptr;
         std::function<std::uint64_t()> intGauge;
         std::function<double()> gauge;
-        std::string title; ///< Section only: the header line
     };
 
     MetricRegistry() = default;
     MetricRegistry(const MetricRegistry &) = delete;
     MetricRegistry &operator=(const MetricRegistry &) = delete;
 
-    /**
-     * Register a counter under @p name.  @p label overrides the text
-     * label (defaults to the last dotted component of @p name).
-     * Duplicate full names assert.
-     */
-    void addCounter(std::string name, const Counter &c,
-                    MetricText text = MetricText::Show,
-                    std::string label = {});
+    /** Register a counter under @p name.  Duplicate full names assert. */
+    void addCounter(std::string name, const Counter &c);
 
-    /** Register a histogram (text renders "<label>_p50"). */
-    void addHistogram(std::string name, const Histogram &h,
-                      MetricText text = MetricText::Show,
-                      std::string label = {});
+    /** Register a histogram. */
+    void addHistogram(std::string name, const Histogram &h);
 
     /** Register a computed integral value. */
-    void addIntGauge(std::string name, std::function<std::uint64_t()> fn,
-                     MetricText text = MetricText::Show,
-                     std::string label = {});
+    void addIntGauge(std::string name, std::function<std::uint64_t()> fn);
 
-    /** Register a computed floating-point value (text: %.4f). */
-    void addGauge(std::string name, std::function<double()> fn,
-                  MetricText text = MetricText::Show,
-                  std::string label = {});
-
-    /**
-     * Register a text-report section header.  @p name scopes it (a
-     * prefix walk with that scope includes the header); @p title is
-     * the verbatim, unindented header line.
-     */
-    void addSection(std::string name, std::string title);
+    /** Register a computed floating-point value. */
+    void addGauge(std::string name, std::function<double()> fn);
 
     const std::vector<Entry> &entries() const { return _entries; }
 
     /** True if any entry's name equals @p name. */
     bool has(std::string_view name) const;
 
-    /** Walk every entry (registration order), optionally scope-filtered. */
-    void forEach(const std::function<void(const Entry &)> &fn,
-                 std::string_view scope = {}) const;
-
-    /**
-     * Legacy text report: one "  label<pad>value" line per visible
-     * entry, section headers unindented.  @p scope restricts the walk
-     * to entries under that dotted prefix ("" = everything).
-     */
-    std::string renderText(std::string_view scope = {}) const;
+    /** Walk every entry in registration order. */
+    void forEach(const std::function<void(const Entry &)> &fn) const;
 
     /**
      * JSON object mapping every metric's full name to its value.
      * Counters / int gauges render as integers, gauges as numbers,
-     * histograms as {count,min,max,mean,p50,p90,p99}; sections are
-     * skipped.  Deterministic: registration order, fixed formatting.
+     * histograms as {count,min,max,mean,p50,p90,p99}.  Deterministic:
+     * registration order, fixed formatting.
      */
-    std::string renderJson(std::string_view scope = {}) const;
+    std::string renderJson() const;
 
   private:
-    /** True if @p name is the @p scope itself or lives under it. */
-    static bool inScope(std::string_view name, std::string_view scope);
-
-    Entry &add(Kind kind, std::string name, MetricText text,
-               std::string label);
+    Entry &add(Kind kind, std::string name);
 
     std::vector<Entry> _entries;
 };
@@ -157,41 +114,27 @@ class MetricScope
     }
 
     void
-    counter(std::string_view name, const Counter &c,
-            MetricText text = MetricText::Show, std::string label = {}) const
+    counter(std::string_view name, const Counter &c) const
     {
-        _registry->addCounter(join(name), c, text, std::move(label));
+        _registry->addCounter(join(name), c);
     }
 
     void
-    histogram(std::string_view name, const Histogram &h,
-              MetricText text = MetricText::Show,
-              std::string label = {}) const
+    histogram(std::string_view name, const Histogram &h) const
     {
-        _registry->addHistogram(join(name), h, text, std::move(label));
+        _registry->addHistogram(join(name), h);
     }
 
     void
-    intGauge(std::string_view name, std::function<std::uint64_t()> fn,
-             MetricText text = MetricText::Show, std::string label = {}) const
+    intGauge(std::string_view name, std::function<std::uint64_t()> fn) const
     {
-        _registry->addIntGauge(join(name), std::move(fn), text,
-                               std::move(label));
+        _registry->addIntGauge(join(name), std::move(fn));
     }
 
     void
-    gauge(std::string_view name, std::function<double()> fn,
-          MetricText text = MetricText::Show, std::string label = {}) const
+    gauge(std::string_view name, std::function<double()> fn) const
     {
-        _registry->addGauge(join(name), std::move(fn), text,
-                            std::move(label));
-    }
-
-    /** Section header scoped at this prefix. */
-    void
-    section(std::string title) const
-    {
-        _registry->addSection(_prefix, std::move(title));
+        _registry->addGauge(join(name), std::move(fn));
     }
 
     const std::string &prefix() const { return _prefix; }

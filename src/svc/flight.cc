@@ -150,8 +150,8 @@ FlightApp::installHandlers()
     const bool simple = _cfg.model == ThreadingModel::Simple;
 
     // Flight: bimodal compute, the bottleneck tier (§5.7).  The draw
-    // comes from _costRng: the classic interleaved stream in
-    // closed-loop mode, the flight tier's own stream in storm mode.
+    // comes from _costRng: the classic interleaved stream under run(),
+    // the flight tier's own stream in storm mode.
     _flight->serverThread().registerHandler(
         kProcess, [this](const proto::RpcMessage &req) {
             rpc::HandlerOutcome out;
@@ -360,9 +360,9 @@ void
 FlightApp::run(double krps, sim::Tick duration, sim::Tick drain)
 {
     dagger_assert(krps > 0, "offered load must be positive");
-    // Closed-loop mode keeps the classic calibration: every draw —
-    // arrival gaps, flight cost draws, staff traffic — interleaves on
-    // the one _rng stream.
+    // Open-loop Poisson arrivals on the classic calibration: every
+    // draw — arrival gaps, flight cost draws, staff traffic —
+    // interleaves on the one _rng stream.
     _krps = krps;
     _stopAt = _sys.now() + duration;
     issueRegistration();
@@ -376,8 +376,9 @@ FlightApp::startStaffDriver(sim::Rng &rng)
     if (_cfg.staffReadRate <= 0)
         return;
     // Staff front-end: background async reads of Airport records
-    // (keys drawn over the citizen id space).  @p rng is the classic interleaved stream in
-    // closed-loop mode and the staff-owned stream in storm mode.
+    // (keys drawn over the citizen id space).  @p rng is the classic
+    // interleaved stream under run() and the staff-owned stream in
+    // storm mode.
     struct StaffDriver
     {
         FlightApp *app;

@@ -14,10 +14,11 @@
  * threading model to a few Krps while leaving the low-load median
  * latency in the tens of microseconds — the Table 4 contrast.
  *
- * Two drivers: run() is the closed-loop calibration behind Table 4
- * and Fig. 15; runStorm() drives million-client open-loop load
- * (app::OpenLoopGen) against per-tier timeout budgets, shedding, and
- * degraded-mode fan-out.
+ * Two drivers: run() is the open-loop Poisson calibration behind
+ * Table 4 and Fig. 15, with every draw on one interleaved stream;
+ * runStorm() drives million-client open-loop load (app::OpenLoopGen)
+ * against per-tier timeout budgets, shedding, and degraded-mode
+ * fan-out.
  */
 
 #ifndef DAGGER_SVC_FLIGHT_HH
@@ -66,7 +67,7 @@ struct FlightConfig
 
     /**
      * Check-in's end-to-end budget for each fan-out leg (0 = no
-     * budget: legs wait forever, as the paper's closed-loop runs do).
+     * budget: legs wait forever, as in run()'s paper calibration).
      * With a budget, a leg that exhausts its retry ladder is served
      * *degraded*: the registration completes without that dependency
      * and the response is marked so the front-end can count it.
@@ -159,8 +160,8 @@ class FlightApp
 
     FlightConfig _cfg;
     rpc::DaggerSystem _sys;
-    /** Classic stream: closed-loop run() interleaves arrival gaps,
-     *  flight cost draws, and staff traffic on it. */
+    /** Classic stream: run() interleaves arrival gaps, flight cost
+     *  draws, and staff traffic on it. */
     sim::Rng _rng;
     /** Storm-mode flight-tier stream: the bimodal handler draw.  Kept
      *  apart from _rng so the storm calibration (slo_storm, perfbench)

@@ -83,8 +83,7 @@ struct SocialNetConfig
     double colocationSlowdown = 1.35;
 
     // Request mix (§3.2).
-    double composeFraction = 0.6;
-    double readHomeFraction = 0.3; // remainder = read-user-timeline
+    double composeFraction = 0.6; // remainder = timeline reads
 
     std::uint64_t seed = 0x736e6574ull;
 };

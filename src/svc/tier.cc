@@ -35,14 +35,11 @@ Tier::Tier(rpc::DaggerSystem &sys, std::string name, unsigned downstreams,
 void
 Tier::registerMetrics()
 {
-    // JSON-only (the text report is byte-compared); the gauge closures
-    // reference this tier, which — like every registered component —
-    // must outlive report rendering.
+    // The gauge closures reference this tier, which — like every
+    // registered component — must outlive report rendering.
     sim::MetricScope scope(_sys.metrics(), "svc." + _name);
-    scope.intGauge("degraded_calls", [this] { return degradedCalls(); },
-                   sim::MetricText::Hide);
-    scope.intGauge("shed_calls", [this] { return shedCalls(); },
-                   sim::MetricText::Hide);
+    scope.intGauge("degraded_calls", [this] { return degradedCalls(); });
+    scope.intGauge("shed_calls", [this] { return shedCalls(); });
 }
 
 rpc::CpuCore &

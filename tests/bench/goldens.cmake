@@ -8,9 +8,8 @@
 #   - "events_per_sec" / "wall_ms" (perf_sim_throughput only): the
 #     engine self-benchmark's host-time rates.
 # Every other byte — config, points, anchors, checks — is simulated
-# output and must not move.  micro_core is skipped: it reports only
-# google-benchmark host timings.  Every other executable in BENCH_DIR
-# must have a golden line, so a new bench cannot slip past unguarded.
+# output and must not move.  Every executable in BENCH_DIR must have a
+# golden line, so a new bench cannot slip past unguarded.
 #
 # To re-take a golden after an intended change to simulated output,
 # replace its line with the one printed for it on failure (the full
@@ -28,7 +27,6 @@ if(NOT BENCH_DIR OR NOT WORKDIR OR NOT GOLDENS)
 endif()
 
 set(jobs 4)
-set(skip micro_core)
 
 file(STRINGS ${GOLDENS} lines REGEX "^[a-z0-9_]+ [0-9a-f]+$")
 set(expected_names "")
@@ -46,7 +44,7 @@ foreach(bin IN LISTS binaries)
     get_filename_component(name ${bin} NAME)
     # Bench binaries have bare names; anything else there (a JSON
     # export from a run started in that directory) is not a bench.
-    if(name MATCHES "^[a-z0-9_]+$" AND NOT name IN_LIST skip)
+    if(name MATCHES "^[a-z0-9_]+$")
         list(APPEND names ${name})
     endif()
 endforeach()

@@ -141,17 +141,16 @@ TEST(DaggerSystem, ReportContainsKeyCounters)
     }
     rig.sys.eq().runFor(usToTicks(200));
 
-    const std::string report = reportSystem(rig.sys);
-    EXPECT_NE(report.find("dagger system report"), std::string::npos);
-    EXPECT_NE(report.find("tor_forwarded"), std::string::npos);
-    EXPECT_NE(report.find("nic0"), std::string::npos);
-    EXPECT_NE(report.find("nic1"), std::string::npos);
-    EXPECT_NE(report.find("rpcs_out"), std::string::npos);
-    EXPECT_NE(report.find("conn_cache_hit_rate"), std::string::npos);
-    EXPECT_NE(report.find("hcc_hit_rate"), std::string::npos);
-    // The per-NIC rpc counters reflect the five round trips.
-    EXPECT_NE(report.find("rpcs_out                    5"),
+    const std::string report = reportSystemJson(rig.sys);
+    EXPECT_NE(report.find("\"time_us\""), std::string::npos);
+    EXPECT_NE(report.find("\"tor.forwarded\""), std::string::npos);
+    EXPECT_NE(report.find("\"node0.nic."), std::string::npos);
+    EXPECT_NE(report.find("\"node1.nic."), std::string::npos);
+    EXPECT_NE(report.find("\"node0.nic.conn_cache.hit_rate\""),
               std::string::npos);
+    EXPECT_NE(report.find("\"node0.nic.hcc.hit_rate\""), std::string::npos);
+    // The per-NIC rpc counters reflect the five round trips.
+    EXPECT_NE(report.find("\"node0.nic.rpcs_out\": 5,"), std::string::npos);
 }
 
 TEST(DaggerSystem, CompletionContinuationFires)

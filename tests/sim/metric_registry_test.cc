@@ -1,14 +1,12 @@
 /**
  * @file
  * MetricRegistry / MetricScope tests: registration, hierarchical
- * naming, scope filtering, duplicate-name detection, and both
- * renderers.
+ * naming, duplicate-name detection, and the JSON renderer.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
@@ -19,7 +17,6 @@ using dagger::sim::Counter;
 using dagger::sim::Histogram;
 using dagger::sim::MetricRegistry;
 using dagger::sim::MetricScope;
-using dagger::sim::MetricText;
 
 TEST(MetricRegistry, RegistersAllKindsInOrder)
 {
@@ -63,67 +60,6 @@ TEST(MetricRegistry, ScopeJoinsDottedNames)
     EXPECT_TRUE(reg.has("node0.nic.conn_cache.hits"));
 }
 
-TEST(MetricRegistry, ScopeFilterRespectsDotBoundaries)
-{
-    MetricRegistry reg;
-    Counter c;
-    c.inc(1);
-    reg.addCounter("node1.x", c);
-    reg.addCounter("node10.x", c);
-    reg.addCounter("node1", c, MetricText::Show, "n1");
-
-    std::vector<std::string> seen;
-    reg.forEach([&](const MetricRegistry::Entry &e) { seen.push_back(e.name); },
-                "node1");
-    // "node10.x" shares the character prefix but not the dotted scope.
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0], "node1.x");
-    EXPECT_EQ(seen[1], "node1");
-}
-
-TEST(MetricRegistry, TextRendererLabelsPaddingAndVisibility)
-{
-    MetricRegistry reg;
-    Counter c;
-    c.inc(5);
-    Histogram h;
-    h.recordMany(10, 100);
-
-    reg.addCounter("n.rpcs_out", c); // default label = leaf
-    reg.addCounter("n.secret", c, MetricText::Hide);
-    reg.addGauge("n.hit_rate", [] { return 0.25; }, MetricText::Show,
-                 "conn_cache_hit_rate");
-    reg.addHistogram("n.fetch_batch", h);
-
-    const std::string text = reg.renderText();
-    // Two-space indent, label padded to column 28.
-    EXPECT_NE(text.find("  rpcs_out                    5\n"),
-              std::string::npos);
-    // Hidden entries never show up in text.
-    EXPECT_EQ(text.find("secret"), std::string::npos);
-    // Label override + %.4f gauge formatting.
-    EXPECT_NE(text.find("  conn_cache_hit_rate         0.2500\n"),
-              std::string::npos);
-    // Histograms render one representative percentile.
-    EXPECT_NE(text.find("fetch_batch_p50"), std::string::npos);
-}
-
-TEST(MetricRegistry, SectionHeadersRenderUnindented)
-{
-    MetricRegistry reg;
-    Counter c;
-    MetricScope scope(reg, "node0");
-    scope.section("nic0 (UPI, 4 flows)");
-    scope.counter("rpcs", c);
-
-    const std::string text = reg.renderText();
-    EXPECT_EQ(text.rfind("nic0 (UPI, 4 flows)\n", 0), 0u);
-
-    // Scoped walks include the section; foreign scopes exclude it.
-    EXPECT_NE(reg.renderText("node0").find("nic0 ("), std::string::npos);
-    EXPECT_EQ(reg.renderText("node1").find("nic0 ("), std::string::npos);
-}
-
 TEST(MetricRegistry, JsonRendererExportsEverything)
 {
     MetricRegistry reg;
@@ -133,18 +69,15 @@ TEST(MetricRegistry, JsonRendererExportsEverything)
     h.record(8);
     h.record(8);
 
-    reg.addCounter("a.c", c, MetricText::Hide); // hidden in text only
+    reg.addCounter("a.c", c);
     reg.addGauge("a.g", [] { return 1.5; });
     reg.addHistogram("a.h", h);
-    reg.addSection("a", "header");
 
     const std::string json = reg.renderJson();
     EXPECT_NE(json.find("\"a.c\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"a.g\": 1.5"), std::string::npos);
     EXPECT_NE(json.find("\"a.h\": {\"count\": 2, \"min\": 8, \"max\": 8"),
               std::string::npos);
-    // Sections carry no value and are skipped entirely.
-    EXPECT_EQ(json.find("header"), std::string::npos);
 
     // Non-finite gauges must not produce invalid JSON.
     MetricRegistry reg2;
