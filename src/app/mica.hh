@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -68,7 +69,7 @@ class MicaPartition
     bool erase(std::string_view key);
 
     const MicaStats &stats() const { return _stats; }
-    std::size_t logBytes() const { return _log.size(); }
+    std::size_t logBytes() const { return _logBytes; }
 
     /** Record an EREW violation observed by the owning store. */
     void noteCrossPartition() { ++_stats.crossPartition; }
@@ -107,7 +108,12 @@ class MicaPartition
     bool readRecord(std::uint64_t offset, std::string_view key,
                     std::string &value_out) const;
 
-    std::vector<std::uint8_t> _log;
+    /// Circular log, deliberately not zero-filled: only the bytes of
+    /// appended records are ever read (index entries point at records,
+    /// and readRecord() rejects lapped ones), so pages the log never
+    /// reaches are never touched and never become resident.
+    std::unique_ptr<std::uint8_t[]> _log;
+    std::size_t _logBytes;
     std::uint64_t _head = 0; ///< absolute append offset (monotonic)
     std::vector<Bucket> _buckets;
     MicaStats _stats;

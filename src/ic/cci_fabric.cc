@@ -13,13 +13,19 @@ CciFabric::CciFabric(EventQueue &eq, IfaceKind kind, unsigned ports,
                                         : pcie.lineService,
              isMemoryInterconnect(kind) ? upi.txnOverhead
                                         : pcie.txnOverhead,
-             ports),
+             ports,
+             [this](unsigned port, std::uint32_t slot) {
+                 _ports[port]->serviced(slot);
+             }),
       _toHost(eq,
               isMemoryInterconnect(kind) ? upi.lineService
                                          : pcie.lineService,
               isMemoryInterconnect(kind) ? upi.txnOverhead
                                          : pcie.txnOverhead,
-              ports),
+              ports,
+              [this](unsigned port, std::uint32_t slot) {
+                  _ports[port]->serviced(slot);
+              }),
       _maxOutstanding(isMemoryInterconnect(kind) ? upi.maxOutstanding
                                                  : pcie.maxOutstanding)
 {
@@ -114,7 +120,7 @@ CciPort::fetch(unsigned lines, EventFn done)
         extra += _fabric.upi().llcPollExtra;
     ++_fetchTxns;
     _linesFetched += lines;
-    submit(Op{std::move(done), extra, lines, true});
+    submit(std::move(done), extra, lines, true);
 }
 
 void
@@ -125,7 +131,7 @@ CciPort::post(unsigned lines, EventFn done)
         : _fabric.pcie().postLatency;
     ++_postTxns;
     _linesPosted += lines;
-    submit(Op{std::move(done), extra, lines, false});
+    submit(std::move(done), extra, lines, false);
 }
 
 void
@@ -141,33 +147,33 @@ CciPort::bookkeep(EventFn done)
         : _fabric.pcie().postLatency;
     // Pass the completion straight through instead of wrapping it: an
     // EventClosure scheduled from an EventClosure rvalue is a plain
-    // move, so the caller's inline storage survives end to end.  An
-    // empty `done` still schedules a no-op so event counts (and thus
-    // seq-number assignment) match the previous engine exactly.
-    if (done)
-        _fabric._eq.schedule(extra, std::move(done),
-                             sim::Priority::Hardware);
-    else
-        _fabric._eq.schedule(extra, [] {}, sim::Priority::Hardware);
+    // move, so the caller's inline storage survives end to end.
+    _fabric._eq.schedule(extra, std::move(done), sim::Priority::Hardware);
 }
 
 void
 CciPort::rawRead(EventFn done)
 {
     // Idle reads are hardware-pipelined: no FSM transaction overhead.
-    submit(Op{std::move(done), _fabric.upi().fetchLatency, 1, true, true});
+    submit(std::move(done), _fabric.upi().fetchLatency, 1, true, true);
 }
 
 void
-CciPort::submit(Op op)
+CciPort::submit(EventFn done, Tick extra, unsigned lines, bool to_nic,
+                bool streamed)
 {
-    DAGGER_DCHECK(op.lines > 0, "zero-line CCI-P op on port ", _id);
+    DAGGER_DCHECK(lines > 0, "zero-line CCI-P op on port ", _id);
+    // Park the completion once, here: the window queue, the channel
+    // queue and every closure up to its arrival carry only the slot,
+    // so each of them is a few trivially copied words.
+    const Op op{_pending.park(Pending{std::move(done), extra}), lines,
+                to_nic, streamed};
     if (_inFlight >= _fabric._maxOutstanding) {
         ++_stalls;
-        _pendingWindow.push_back(std::move(op));
+        _pendingWindow.push_back(op);
         return;
     }
-    issue(std::move(op));
+    issue(op);
 }
 
 void
@@ -182,25 +188,22 @@ CciPort::issue(Op op)
                      "window: ", _inFlight, " > ",
                      _fabric._maxOutstanding);
     Channel &ch = op.to_nic ? _fabric._toNic : _fabric._toHost;
-    const Tick extra = op.extra_latency;
-    // Park the completion instead of capturing it: a closure holding an
-    // EventFn cannot fit the inline buffer, so capturing `done` would
-    // heap-allocate both the grant and the arrival closure.
-    const sim::SlotTable<EventFn>::Slot slot = _done.park(std::move(op.done));
-    auto granted = [this, extra, slot] {
-        // Channel service finished; propagation takes `extra`.
-        auto arrived = [this, slot] {
-            EventFn done = _done.take(slot);
-            completed();
-            if (done)
-                done();
-        };
-        static_assert(sim::EventClosure::fitsInline<decltype(arrived)>());
-        _fabric._eq.schedule(extra, std::move(arrived),
-                             sim::Priority::Hardware);
+    ch.request(_id, op.lines, op.slot, op.streamed);
+}
+
+void
+CciPort::serviced(Slot slot)
+{
+    // Channel service finished; propagation takes the extra latency.
+    auto arrived = [this, slot] {
+        const Pending p = _pending.take(slot);
+        completed();
+        if (p.done)
+            p.done();
     };
-    static_assert(sim::EventClosure::fitsInline<decltype(granted)>());
-    ch.request(_id, op.lines, std::move(granted), op.streamed);
+    static_assert(sim::EventClosure::relocatesByMemcpy<decltype(arrived)>());
+    _fabric._eq.schedule(_pending.at(slot).extra_latency, std::move(arrived),
+                         sim::Priority::Hardware);
 }
 
 void
@@ -209,9 +212,9 @@ CciPort::completed()
     dagger_assert(_inFlight > 0, "completion without in-flight op");
     --_inFlight;
     if (!_pendingWindow.empty()) {
-        Op op = std::move(_pendingWindow.front());
+        const Op op = _pendingWindow.front();
         _pendingWindow.pop_front();
-        issue(std::move(op));
+        issue(op);
     }
 }
 

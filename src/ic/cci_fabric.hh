@@ -56,9 +56,10 @@ class CciPort
 
     /**
      * Send bookkeeping info (free-slot releases) back to software.
-     * One cache line regardless of batch size.
+     * One cache line regardless of batch size.  @p done fires when the
+     * release is visible to software.
      */
-    void bookkeep(EventFn done = {});
+    void bookkeep(EventFn done);
 
     /**
      * Issue an idle read of one cache line over the interconnect —
@@ -84,18 +85,28 @@ class CciPort
     friend class CciFabric;
     CciPort(CciFabric &fabric, unsigned id) : _fabric(fabric), _id(id) {}
 
-    // Closure first, as in Channel::Txn: no padding around it.
-    struct Op
+    /** A transaction's completion, parked from submission to arrival. */
+    struct Pending
     {
         EventFn done;
-        Tick extra_latency;
+        Tick extra_latency; ///< propagation after channel service
+    };
+    using Slot = sim::SlotTable<Pending>::Slot;
+
+    /** A transaction waiting for, or holding, an outstanding slot. */
+    struct Op
+    {
+        Slot slot; ///< its Pending entry in _pending
         unsigned lines;
         bool to_nic;
         bool streamed = false;
     };
 
-    void submit(Op op);
+    void submit(EventFn done, Tick extra, unsigned lines, bool to_nic,
+                bool streamed = false);
     void issue(Op op);
+    /** Channel service of @p slot's transaction finished. */
+    void serviced(Slot slot);
     void completed();
 
     CciFabric &_fabric;
@@ -104,9 +115,9 @@ class CciPort
     unsigned _inFlight = 0;
     /// ops waiting for an outstanding slot
     sim::RingQueue<Op> _pendingWindow;
-    /// completions of issued transactions, at most one per outstanding
-    /// slot
-    sim::SlotTable<EventFn> _done;
+    /// completions of every submitted transaction, parked once at
+    /// submission; queues and closures carry only the slot
+    sim::SlotTable<Pending> _pending;
 
     std::uint64_t _fetchTxns = 0;
     std::uint64_t _postTxns = 0;

@@ -5,10 +5,11 @@
 namespace dagger::ic {
 
 Channel::Channel(EventQueue &eq, Tick line_service, Tick txn_overhead,
-                 unsigned ports)
+                 unsigned ports, ServicedFn serviced)
     : _eq(eq), _lineService(line_service), _txnOverhead(txn_overhead),
-      _queues(ports), _grants(ports, 0)
+      _serviced(std::move(serviced)), _queues(ports), _grants(ports, 0)
 {
+    dagger_assert(_serviced, "channel needs a serviced callback");
 }
 
 unsigned
@@ -20,11 +21,12 @@ Channel::addPort()
 }
 
 void
-Channel::request(unsigned port, unsigned lines, EventFn done, bool streamed)
+Channel::request(unsigned port, unsigned lines, std::uint32_t tag,
+                 bool streamed)
 {
     dagger_assert(port < _queues.size(), "bad channel port ", port);
     dagger_assert(lines >= 1, "empty transaction");
-    _queues[port].push_back(Txn{std::move(done), lines, streamed});
+    _queues[port].push_back(Txn{tag, lines, streamed});
     if (!_busy)
         grantNext();
 }
@@ -43,7 +45,7 @@ Channel::grantNext()
         const unsigned p = (_rrNext + i) % n;
         if (_queues[p].empty())
             continue;
-        Txn txn = std::move(_queues[p].front());
+        const Txn txn = _queues[p].front();
         _queues[p].pop_front();
         ++_grants[p];
         _rrNext = (p + 1) % n;
@@ -53,7 +55,8 @@ Channel::grantNext()
         _busyTicks += service;
         _linesServiced += txn.lines;
         ++_txnsServiced;
-        _inService = std::move(txn.done);
+        _inServicePort = p;
+        _inServiceTag = txn.tag;
         _eq.schedule(service, [this] { serviceDone(); },
                      sim::Priority::Hardware);
         return;
@@ -65,11 +68,10 @@ void
 Channel::serviceDone()
 {
     _busy = false;
-    // Move the completion out first: it may request more work, which
-    // would start the next transaction and overwrite _inService.
-    EventFn done = std::move(_inService);
-    if (done)
-        done();
+    // The callback may request more work, which starts the next
+    // transaction at once and overwrites the in-service fields; they
+    // are read before the call.
+    _serviced(_inServicePort, _inServiceTag);
     grantNext();
 }
 

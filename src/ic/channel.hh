@@ -13,6 +13,7 @@
 #define DAGGER_IC_CHANNEL_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -33,20 +34,28 @@ class Channel
 {
   public:
     /**
+     * Called when a transaction's channel service completes, with the
+     * requesting port and the transaction's tag (propagation latency
+     * is added by the callee).
+     */
+    using ServicedFn = std::function<void(unsigned port, std::uint32_t tag)>;
+
+    /**
      * @param eq           simulation event queue
      * @param line_service endpoint occupancy per cache line
      * @param txn_overhead fixed occupancy per transaction
      * @param ports        number of arbitrated ports (NIC instances)
+     * @param serviced     completion callback for every transaction
      */
     Channel(EventQueue &eq, Tick line_service, Tick txn_overhead,
-            unsigned ports = 1);
+            unsigned ports, ServicedFn serviced);
 
     /**
      * Request service for a transaction of @p lines cache lines from
-     * @p port.  @p done runs when the transaction's channel service
-     * completes (propagation latency is added by the caller).
+     * @p port.  The serviced callback receives @p tag when the
+     * transaction's channel service completes.
      */
-    void request(unsigned port, unsigned lines, EventFn done,
+    void request(unsigned port, unsigned lines, std::uint32_t tag,
                  bool streamed = false);
 
     /** Add one more arbitrated port; returns its index. */
@@ -74,11 +83,9 @@ class Channel
     }
 
   private:
-    // Closure first: the 16-aligned EventFn would otherwise pad the
-    // fields around it, and doorbell-batched runs queue hundreds.
     struct Txn
     {
-        EventFn done;
+        std::uint32_t tag;
         unsigned lines;
         bool streamed; ///< no per-transaction overhead (pipelined reads)
     };
@@ -89,14 +96,14 @@ class Channel
     EventQueue &_eq;
     Tick _lineService;
     Tick _txnOverhead;
+    ServicedFn _serviced;
     std::vector<sim::RingQueue<Txn>> _queues;
     std::vector<std::uint64_t> _grants;
     unsigned _rrNext = 0;
     bool _busy = false;
-    /** Completion of the transaction in service.  Parked here so the
-     *  scheduled event captures only `this` and stays in EventClosure's
-     *  inline buffer; at most one transaction is in service at a time. */
-    EventFn _inService;
+    /** Port and tag of the transaction in service (at most one). */
+    unsigned _inServicePort = 0;
+    std::uint32_t _inServiceTag = 0;
     std::uint64_t _linesServiced = 0;
     std::uint64_t _txnsServiced = 0;
     Tick _busyTicks = 0;

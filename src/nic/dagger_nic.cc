@@ -8,12 +8,10 @@ namespace dagger::nic {
 namespace {
 /// Hardware maximum frames per CCI-P transaction (auto-batch burst cap).
 constexpr std::size_t kHwMaxBatch = proto::kBurstFrames;
-/// Per-flow ingress stall capacity, in frames.  The request buffer's
-/// free-slot FIFO backpressures the ingress pipeline ("drop or stall",
-/// request_buffer.hh); we model the stall: frames wait here until a
-/// table slot frees, and only a backlog beyond several maximum-size
-/// messages (kMaxPayloadBytes / kFramePayload = 1366 frames each) is
-/// dropped as drops_no_slot.
+/// Per-flow ingress stall capacity, in frames ("drop or stall",
+/// request_buffer.hh): frames wait in their flow's FIFO for a free
+/// table slot, and only a backlog beyond several maximum-size messages
+/// (1366 frames each) is dropped as drops_no_slot.
 constexpr std::size_t kIngressStallFrames = 8192;
 /// Poll-mode management window (§4.4.1 load-triggered switch).
 constexpr sim::Tick kPollWindow = sim::usToTicks(10);
@@ -26,7 +24,8 @@ DaggerNic::DaggerNic(sim::EventQueue &eq, NicConfig cfg, SoftConfig soft,
       // config (_cfg), not the constructor parameter, which dies at
       // return.
       _cm(_cfg), _hcc(cfg.connMissPenalty),
-      _reqBuffer(kHwMaxBatch * cfg.numFlows, cfg.numFlows),
+      _reqBuffer(kHwMaxBatch * cfg.numFlows, cfg.numFlows,
+                 kIngressStallFrames),
       _flows(cfg.numFlows), _protocol(std::make_unique<ProtocolUnit>()),
       _rrLb(std::make_unique<RoundRobinLb>()),
       _staticLb(std::make_unique<StaticLb>()),
@@ -136,8 +135,8 @@ void
 DaggerNic::issueFetch(unsigned flow, std::size_t frames)
 {
     FlowState &fs = _flows[flow];
-    auto claimed = fs.tx->popFrames(frames);
-    dagger_assert(claimed.size() == frames, "ring under-delivered");
+    const BatchSlot slot = _batches.park(fs.tx->popFrames(frames));
+    dagger_assert(_batches.at(slot).size() == frames, "ring under-delivered");
     ++fs.outstandingFetches;
     // The RX FSM pipelines asynchronous reads but maybeFetch() stops
     // issuing at the per-flow credit limit; exceeding it means a
@@ -149,56 +148,60 @@ DaggerNic::issueFetch(unsigned flow, std::size_t frames)
     _monitor.framesFetched.inc(frames);
     _monitor.fetchBatch.record(frames);
     pollModeTick();
-    _port.fetch(static_cast<unsigned>(frames),
-                [this, flow, claimed = std::move(claimed)]() mutable {
-                    onFetched(flow, std::move(claimed));
-                });
+    auto fetched = [this, flow, slot] { onFetched(flow, slot); };
+    static_assert(sim::EventClosure::relocatesByMemcpy<decltype(fetched)>());
+    _port.fetch(static_cast<unsigned>(frames), std::move(fetched));
 }
 
 void
-DaggerNic::onFetched(unsigned flow, std::vector<proto::Frame> frames)
+DaggerNic::onFetched(unsigned flow, BatchSlot slot)
 {
     FlowState &fs = _flows[flow];
     dagger_assert(fs.outstandingFetches > 0, "fetch completion underflow");
     --fs.outstandingFetches;
 
     // Release ring entries once the bookkeeping write lands.
-    const std::size_t n = frames.size();
-    _port.bookkeep([tx = fs.tx, n] { tx->release(n); });
+    const std::size_t n = _batches.at(slot).size();
+    auto release = [tx = fs.tx, n] { tx->release(n); };
+    static_assert(sim::EventClosure::relocatesByMemcpy<decltype(release)>());
+    _port.bookkeep(std::move(release));
 
     // Serializer pipeline, then per-message egress.
-    _eq.schedule(pipelineDelay(),
-                 [this, flow, frames = std::move(frames)]() mutable {
-                     FlowState &f = _flows[flow];
-                     for (auto &frame : frames) {
-                         const auto need = f.partial.empty()
-                             ? frame.header.frameCount()
-                             : f.partial.front().header.frameCount();
-                         // Room for the whole message up front: the
-                         // group leaves as the packet's frame vector.
-                         if (f.partial.capacity() < need)
-                             f.partial = proto::takeBurst(need);
-                         f.partial.push_back(std::move(frame));
-                         if (f.partial.size() < need)
-                             continue;
-                         if (proto::RpcMessage::framesConsistent(
-                                 f.partial)) {
-                             // The fetched frames came straight from
-                             // toFrames() in host memory and are
-                             // already in wire form; forward them as
-                             // the packet instead of re-framing (the
-                             // NIC batches on headers, it does not
-                             // audit host bytes).
-                             egressFrames(std::move(f.partial));
-                         } else {
-                             _monitor.malformed.inc();
-                         }
-                         f.partial.clear();
-                     }
-                     proto::recycleBurst(std::move(frames));
-                     maybeFetch(flow);
-                 },
+    auto serialize = [this, flow, slot] { serializeBatch(flow, slot); };
+    static_assert(sim::EventClosure::relocatesByMemcpy<decltype(serialize)>());
+    _eq.schedule(pipelineDelay(), std::move(serialize),
                  sim::Priority::Hardware);
+}
+
+void
+DaggerNic::serializeBatch(unsigned flow, BatchSlot slot)
+{
+    std::vector<proto::Frame> frames = _batches.take(slot);
+    FlowState &f = _flows[flow];
+    for (auto &frame : frames) {
+        const auto need = f.partial.empty()
+            ? frame.header.frameCount()
+            : f.partial.front().header.frameCount();
+        // Room for the whole message up front: the group leaves as the
+        // packet's frame vector.
+        if (f.partial.capacity() < need)
+            f.partial = proto::takeBurst(need);
+        f.partial.push_back(std::move(frame));
+        if (f.partial.size() < need)
+            continue;
+        if (proto::RpcMessage::framesConsistent(f.partial)) {
+            // The fetched frames came straight from toFrames() in host
+            // memory and are already in wire form; forward them as the
+            // packet instead of re-framing (the NIC batches on headers,
+            // it does not audit host bytes).
+            egressFrames(std::move(f.partial));
+        } else {
+            _monitor.malformed.inc();
+        }
+        f.partial.clear();
+    }
+    proto::recycleBurst(std::move(frames));
+    maybeFetch(flow);
 }
 
 void
@@ -215,15 +218,16 @@ DaggerNic::egressFrames(std::vector<proto::Frame> frames)
     // a cold line costs one coherent fill from host memory.
     penalty += _hcc.access(conn);
     auto send = [this, dst = tuple->destAddr,
-                 frames = std::move(frames)]() mutable {
+                 slot = _batches.park(std::move(frames))] {
         net::Packet pkt;
         pkt.dst = dst;
-        pkt.frames = std::move(frames);
+        pkt.frames = _batches.take(slot);
         _monitor.rpcsOut.inc();
         _monitor.bytesOut.inc(pkt.wireBytes());
         if (_protocol->onEgress(pkt))
             _net.send(std::move(pkt));
     };
+    static_assert(sim::EventClosure::relocatesByMemcpy<decltype(send)>());
     // Penalties stall the (in-order) egress pipeline: a later message
     // must not overtake an earlier one that is waiting on a state
     // fill, or per-flow FIFO order would break on the wire.
@@ -242,25 +246,25 @@ DaggerNic::onNetReceive(net::Packet pkt)
 {
     if (!_protocol->onIngress(pkt))
         return;
-    _eq.schedule(pipelineDelay(),
-                 [this, pkt = std::move(pkt)]() mutable {
-                     steerMessage(std::move(pkt));
-                 },
-                 sim::Priority::Hardware);
+    auto steer = [this, slot = _batches.park(std::move(pkt.frames))] {
+        steerMessage(_batches.take(slot));
+    };
+    static_assert(sim::EventClosure::relocatesByMemcpy<decltype(steer)>());
+    _eq.schedule(pipelineDelay(), std::move(steer), sim::Priority::Hardware);
 }
 
 void
-DaggerNic::steerMessage(net::Packet pkt)
+DaggerNic::steerMessage(std::vector<proto::Frame> frames)
 {
     // Steering routes on the header alone: check consistency, not
     // checksums — integrity is gated at the transport's pre-ACK check
     // and at receive-side reassembly, and reassembling here would add
     // a handle pass per packet just to read connId and type.
-    if (!proto::RpcMessage::framesConsistent(pkt.frames)) {
+    if (!proto::RpcMessage::framesConsistent(frames)) {
         _monitor.malformed.inc();
         return;
     }
-    const proto::FrameHeader &h0 = pkt.frames.front().header;
+    const proto::FrameHeader &h0 = frames.front().header;
     sim::Tick penalty = 0;
     auto tuple = _cm.lookup(h0.connId, CmReader::IncomingFlow, penalty);
     if (!tuple) {
@@ -275,7 +279,7 @@ DaggerNic::steerMessage(net::Packet pkt)
         // The object-level balancer hashes key bytes out of the
         // payload, so this steering mode (alone) reassembles.
         proto::RpcMessage msg;
-        if (!proto::RpcMessage::fromFrames(pkt.frames, msg)) {
+        if (!proto::RpcMessage::fromFrames(frames, msg)) {
             _monitor.malformed.inc();
             return;
         }
@@ -287,28 +291,17 @@ DaggerNic::steerMessage(net::Packet pkt)
     }
     DAGGER_DCHECK(flow < _flows.size(),
                   "load balancer steered to nonexistent flow ", flow);
-    FlowState &fs = _flows[flow];
-    if (!fs.rx) {
+    if (!_flows[flow].rx) {
         _monitor.dropsNoConnection.inc();
         return;
     }
-    if (fs.ingress.size() + pkt.frames.size() > kIngressStallFrames) {
+    const std::size_t wire_bytes = frames.size() * proto::kCacheLineBytes;
+    if (!_reqBuffer.push(flow, std::move(frames))) {
         _monitor.dropsNoSlot.inc();
         return;
     }
     _monitor.rpcsIn.inc();
-    _monitor.bytesIn.inc(pkt.wireBytes());
-    if (fs.ingress.empty() && _reqBuffer.freeSlots() >= pkt.frames.size()) {
-        // Common case: the request table has room, so frames go
-        // straight to their slots without staging in the stall queue.
-        for (auto &frame : pkt.frames)
-            _reqBuffer.push(flow, std::move(frame));
-    } else {
-        for (auto &frame : pkt.frames)
-            fs.ingress.push_back(std::move(frame));
-        drainIngress(flow);
-    }
-    proto::recycleBurst(std::move(pkt.frames));
+    _monitor.bytesIn.inc(wire_bytes);
     if (penalty == 0) {
         maybePost(flow);
     } else {
@@ -385,31 +378,18 @@ DaggerNic::armPostTimeout(unsigned flow)
 }
 
 void
-DaggerNic::drainIngress(unsigned flow)
-{
-    FlowState &fs = _flows[flow];
-    while (!fs.ingress.empty() && _reqBuffer.freeSlots() > 0) {
-        _reqBuffer.push(flow, std::move(fs.ingress.front()));
-        fs.ingress.pop_front();
-    }
-}
-
-void
 DaggerNic::issuePost(unsigned flow, std::size_t frames)
 {
-    FlowState &fs = _flows[flow];
-    auto batch = _reqBuffer.pop(flow, frames);
-    dagger_assert(batch.size() == frames, "request buffer under-delivered");
-    // Popping returned slots to the free FIFO; stalled ingress frames
-    // claim them immediately so large messages stream through the
-    // table in batch-sized waves.
-    drainIngress(flow);
+    const BatchSlot slot = _batches.park(_reqBuffer.pop(flow, frames));
+    dagger_assert(_batches.at(slot).size() == frames,
+                  "request buffer under-delivered");
     _monitor.framesPosted.inc(frames);
     _monitor.postBatch.record(frames);
-    _port.post(static_cast<unsigned>(frames),
-               [rx = fs.rx, batch = std::move(batch)]() mutable {
-                   rx->deliver(std::move(batch));
-               });
+    auto posted = [rx = _flows[flow].rx, this, slot] {
+        rx->deliver(_batches.take(slot));
+    };
+    static_assert(sim::EventClosure::relocatesByMemcpy<decltype(posted)>());
+    _port.post(static_cast<unsigned>(frames), std::move(posted));
 }
 
 // ------------------------- poll-mode management -------------------------

@@ -33,7 +33,7 @@
 #include "proto/wire.hh"
 #include "rpc/rings.hh"
 #include "sim/event_queue.hh"
-#include "sim/ring_queue.hh"
+#include "sim/slot_table.hh"
 
 namespace dagger::nic {
 
@@ -129,9 +129,9 @@ class DaggerNic
         unsigned outstandingFetches = 0;
         /// egress grouping of multi-frame messages; becomes the packet
         std::vector<proto::Frame> partial;
-        /// ingress frames stalled waiting for a request-buffer slot
-        sim::RingQueue<proto::Frame> ingress;
     };
+
+    using BatchSlot = sim::SlotTable<std::vector<proto::Frame>>::Slot;
 
     sim::Tick pipelineDelay() const
     {
@@ -144,13 +144,13 @@ class DaggerNic
     void maybeFetch(unsigned flow);
     void issueFetch(unsigned flow, std::size_t frames);
     void armFetchTimeout(unsigned flow);
-    void onFetched(unsigned flow, std::vector<proto::Frame> frames);
+    void onFetched(unsigned flow, BatchSlot slot);
+    void serializeBatch(unsigned flow, BatchSlot slot);
     void egressFrames(std::vector<proto::Frame> frames);
 
     // --- TX path (network -> host) ---
     void onNetReceive(net::Packet pkt);
-    void steerMessage(net::Packet pkt);
-    void drainIngress(unsigned flow);
+    void steerMessage(std::vector<proto::Frame> frames);
     unsigned pickFlow(const proto::RpcMessage &msg, const ConnTuple &tuple);
     void maybePost(unsigned flow);
     void issuePost(unsigned flow, std::size_t frames);
@@ -168,6 +168,9 @@ class DaggerNic
     mem::Hcc _hcc;
     RequestBuffer _reqBuffer;
     std::vector<FlowState> _flows;
+    /// frame batches carried by a pending CCI-P transaction or NIC
+    /// pipeline stage, parked so every NIC closure is a few words
+    sim::SlotTable<std::vector<proto::Frame>> _batches;
     PacketMonitor _monitor;
     std::unique_ptr<ProtocolUnit> _protocol;
     std::unique_ptr<LoadBalancer> _rrLb;

@@ -4,62 +4,66 @@
 
 namespace dagger::nic {
 
-RequestBuffer::RequestBuffer(std::size_t slots, unsigned flows)
-    : _table(slots), _flowFifos(flows)
+RequestBuffer::RequestBuffer(std::size_t slots, unsigned flows,
+                             std::size_t stall_frames)
+    : _capacity(slots), _free(slots), _stallFrames(stall_frames),
+      _flows(flows)
 {
     dagger_assert(slots > 0, "request buffer needs slots");
     dagger_assert(flows > 0, "request buffer needs flows");
-    _freeFifo.reserve(slots);
-    for (SlotId s = 0; s < slots; ++s)
-        _freeFifo.push_back(s);
 }
 
-std::optional<SlotId>
-RequestBuffer::push(unsigned flow, proto::Frame frame)
+bool
+RequestBuffer::push(unsigned flow, std::vector<proto::Frame> &&frames)
 {
-    dagger_assert(flow < _flowFifos.size(), "bad flow ", flow);
-    if (_freeFifo.empty()) {
+    dagger_assert(flow < _flows.size(), "bad flow ", flow);
+    Flow &f = _flows[flow];
+    if (f.frames.size() - f.resident + frames.size() > _stallFrames) {
         ++_rejections;
-        return std::nullopt;
+        return false;
     }
-    const SlotId slot = _freeFifo.front();
-    _freeFifo.pop_front();
-    DAGGER_DCHECK(slot < _table.size(),
-                  "free FIFO handed out slot ", slot, " beyond table size ",
-                  _table.size());
-    _table[slot] = std::move(frame);
-    _flowFifos[flow].push_back(slot);
-    ++_pushes;
-    return slot;
+    f.frames.pushBurst(std::move(frames));
+    admit(f);
+    return true;
 }
 
 std::size_t
 RequestBuffer::flowDepth(unsigned flow) const
 {
-    dagger_assert(flow < _flowFifos.size(), "bad flow ", flow);
-    return _flowFifos[flow].size();
+    dagger_assert(flow < _flows.size(), "bad flow ", flow);
+    return _flows[flow].resident;
+}
+
+std::size_t
+RequestBuffer::stalled(unsigned flow) const
+{
+    dagger_assert(flow < _flows.size(), "bad flow ", flow);
+    return _flows[flow].frames.size() - _flows[flow].resident;
 }
 
 std::vector<proto::Frame>
 RequestBuffer::pop(unsigned flow, std::size_t n)
 {
-    dagger_assert(flow < _flowFifos.size(), "bad flow ", flow);
-    auto &fifo = _flowFifos[flow];
-    const std::size_t take = std::min(n, fifo.size());
-    std::vector<proto::Frame> out = proto::takeBurst(take);
-    for (std::size_t i = 0; i < take; ++i) {
-        const SlotId slot = fifo.front();
-        fifo.pop_front();
-        out.push_back(std::move(_table[slot]));
-        _freeFifo.push_back(slot);
-    }
-    // Slots are conserved: every entry is either free or queued in
-    // exactly one flow FIFO, so the free FIFO can never outgrow the
-    // table (a double-release would trip this first).
-    DAGGER_INVARIANT(_freeFifo.size() <= _table.size(),
-                     "free FIFO (", _freeFifo.size(),
-                     ") outgrew the request table (", _table.size(), ")");
+    dagger_assert(flow < _flows.size(), "bad flow ", flow);
+    Flow &f = _flows[flow];
+    std::vector<proto::Frame> out = f.frames.popBurst(std::min(n, f.resident));
+    f.resident -= out.size();
+    _free += out.size();
+    // Slots are conserved: every entry is either free or held by a
+    // resident frame, so the free count can never outgrow the table.
+    DAGGER_INVARIANT(_free <= _capacity, "free slots (", _free,
+                     ") outgrew the request table (", _capacity, ")");
+    admit(f);
     return out;
+}
+
+void
+RequestBuffer::admit(Flow &f)
+{
+    const std::size_t k = std::min(f.frames.size() - f.resident, _free);
+    f.resident += k;
+    _free -= k;
+    _pushes += k;
 }
 
 } // namespace dagger::nic

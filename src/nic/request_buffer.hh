@@ -7,61 +7,65 @@
  * is designed to keep track of free entries in the request buffer.
  * The Flow FIFOs in this case only contain references (slot_ids) to
  * the actual RPC data in the table."  The table holds B * N_flows
- * entries (one frame each).
+ * entries (one frame each).  A slot has no identity beyond being an
+ * entry, so the model counts them: each flow keeps one frame FIFO
+ * whose first `resident` frames hold slots, and the frames behind them
+ * are ingress stalled for a free slot ("drop or stall": the model
+ * stalls up to a per-flow limit and drops beyond it).
  */
 
 #ifndef DAGGER_NIC_REQUEST_BUFFER_HH
 #define DAGGER_NIC_REQUEST_BUFFER_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "proto/wire.hh"
-#include "sim/logging.hh"
 #include "sim/metrics.hh"
-#include "sim/ring_queue.hh"
 
 namespace dagger::nic {
 
-/** Index into the request table. */
-using SlotId = std::uint32_t;
-
-/**
- * Request table + free-slot FIFO + per-flow FIFOs of slot references.
- */
+/** Per-flow frame FIFOs over a shared B * N_flows-slot request table. */
 class RequestBuffer
 {
   public:
     /**
-     * @param slots total request-table entries (B * N_flows in the
-     *              paper's sizing; larger is allowed)
-     * @param flows number of flow FIFOs
+     * @param slots        request-table entries (B * N_flows in the
+     *                     paper's sizing; larger is allowed)
+     * @param flows        number of flow FIFOs
+     * @param stall_frames per-flow cap on frames stalled for a slot
      */
-    RequestBuffer(std::size_t slots, unsigned flows);
+    RequestBuffer(std::size_t slots, unsigned flows,
+                  std::size_t stall_frames);
 
     /**
-     * Store one frame and append its slot reference to @p flow's FIFO.
-     * @retval nullopt no free slot (backpressure: caller must drop or
-     *         stall the ingress pipeline).
+     * Queue one message's @p frames at the back of @p flow's FIFO and
+     * give the flow's stalled frames whatever slots are free.
+     * @retval false the flow's stalled frames plus the message would
+     *         exceed the stall limit: the message is rejected and
+     *         @p frames is left untouched.
      */
-    std::optional<SlotId> push(unsigned flow, proto::Frame frame);
+    bool push(unsigned flow, std::vector<proto::Frame> &&frames);
 
-    /** Frames queued in @p flow's FIFO. */
+    /** Frames of @p flow holding table slots (the schedulable depth). */
     std::size_t flowDepth(unsigned flow) const;
 
+    /** Frames of @p flow stalled waiting for a slot. */
+    std::size_t stalled(unsigned flow) const;
+
     /**
-     * Pop up to @p n frames from @p flow in FIFO order, as a
-     * recyclable burst (proto::takeBurst), returning the slots to the
-     * free FIFO.
+     * Pop up to @p n slot-holding frames from @p flow in FIFO order,
+     * as a recyclable burst (proto::takeBurst).  The freed slots go to
+     * the same flow's stalled frames first, so a large message streams
+     * through the table in batch-sized waves.
      */
     std::vector<proto::Frame> pop(unsigned flow, std::size_t n);
 
-    std::size_t freeSlots() const { return _freeFifo.size(); }
-    std::size_t capacity() const { return _table.size(); }
-    unsigned flows() const { return static_cast<unsigned>(_flowFifos.size()); }
+    std::size_t freeSlots() const { return _free; }
 
+    /** Frames that have taken a table slot. */
     std::uint64_t pushes() const { return _pushes; }
+    /** Messages rejected at the stall limit. */
     std::uint64_t rejections() const { return _rejections; }
 
     /** Register buffer statistics. */
@@ -71,16 +75,24 @@ class RequestBuffer
         scope.intGauge("pushes", [this] { return _pushes; });
         scope.intGauge("rejections", [this] { return _rejections; });
         scope.intGauge("free_slots",
-                       [this] {
-                           return static_cast<std::uint64_t>(
-                               _freeFifo.size());
-                       });
+                       [this] { return static_cast<std::uint64_t>(_free); });
     }
 
   private:
-    std::vector<proto::Frame> _table;
-    sim::RingQueue<SlotId> _freeFifo;
-    std::vector<sim::RingQueue<SlotId>> _flowFifos;
+    struct Flow
+    {
+        proto::FrameFifo frames;
+        /// frames at the front of `frames` that hold table slots
+        std::size_t resident = 0;
+    };
+
+    /** Hand free slots to @p f's stalled frames, in FIFO order. */
+    void admit(Flow &f);
+
+    std::size_t _capacity;
+    std::size_t _free;
+    std::size_t _stallFrames;
+    std::vector<Flow> _flows;
     std::uint64_t _pushes = 0;
     std::uint64_t _rejections = 0;
 };

@@ -132,32 +132,12 @@ recycleBurst(std::vector<Frame> &&frames)
 
 namespace {
 
-/**
- * True when @p frames all view the same payload buffer at exactly
- * their wire offsets — the invariant toFrames() establishes and every
- * handle-passing hop preserves.  Reassembly can then adopt the buffer
- * instead of gathering bytes.
- */
+/** Frame @p i of a message whose first frame carries @p h0. */
 bool
-framesCoverOneBuffer(const std::vector<Frame> &frames,
-                     std::size_t payload_len)
+headerMatches(const FrameHeader &h, const FrameHeader &h0, std::size_t i)
 {
-    const PayloadBuf &buf = frames.front().view.buffer();
-    if (buf.size() != payload_len)
-        return false;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        const Frame &f = frames[i];
-        const std::size_t off = i * kFramePayload;
-        const std::size_t chunk =
-            std::min(kFramePayload, payload_len - off);
-        if (f.view.offset() != off || f.view.size() != chunk)
-            return false;
-        // Multi-frame messages are > 48 B and therefore heap-backed,
-        // so handle identity is heap-pointer identity.
-        if (i > 0 && !f.view.buffer().sharesBufferWith(buf))
-            return false;
-    }
-    return true;
+    return h.frameIdx == i && h.connId == h0.connId &&
+        h.rpcId == h0.rpcId && h.payloadLen == h0.payloadLen;
 }
 
 } // namespace
@@ -170,23 +150,8 @@ RpcMessage::framesConsistent(const std::vector<Frame> &frames)
     const FrameHeader &h0 = frames.front().header;
     if (h0.frameCount() != frames.size())
         return false;
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        const Frame &f = frames[i];
-        if (f.header.frameIdx != i || f.header.connId != h0.connId ||
-            f.header.rpcId != h0.rpcId ||
-            f.header.payloadLen != h0.payloadLen)
-            return false;
-    }
-    return true;
-}
-
-bool
-RpcMessage::validateFrames(const std::vector<Frame> &frames)
-{
-    if (!framesConsistent(frames))
-        return false;
-    for (const Frame &f : frames)
-        if (!f.verifyChecksum())
+    for (std::size_t i = 0; i < frames.size(); ++i)
+        if (!headerMatches(frames[i].header, h0, i))
             return false;
     return true;
 }
@@ -194,24 +159,43 @@ RpcMessage::validateFrames(const std::vector<Frame> &frames)
 bool
 RpcMessage::fromFrames(const std::vector<Frame> &frames, RpcMessage &out)
 {
-    if (!validateFrames(frames))
+    if (frames.empty())
         return false;
     const FrameHeader &h0 = frames.front().header;
+    if (h0.frameCount() != frames.size())
+        return false;
+    const std::size_t len = h0.payloadLen;
+    const PayloadBuf &buf = frames.front().view.buffer();
+    // One pass checks each frame's header and checksum, and whether
+    // every frame views the same buffer at exactly its wire offset —
+    // the invariant toFrames() establishes and every handle-passing
+    // hop preserves.  Multi-frame messages are > 48 B and therefore
+    // heap-backed, so handle identity is heap-pointer identity.
+    bool one_buffer = len > 0 && buf.size() == len;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        const Frame &f = frames[i];
+        if (!headerMatches(f.header, h0, i) || !f.verifyChecksum())
+            return false;
+        if (one_buffer) {
+            const std::size_t off = i * kFramePayload;
+            one_buffer = f.view.offset() == off &&
+                f.view.size() == std::min(kFramePayload, len - off) &&
+                (i == 0 || f.view.buffer().sharesBufferWith(buf));
+        }
+    }
 
     out._connId = h0.connId;
     out._rpcId = h0.rpcId;
     out._fnId = h0.fnId;
     out._type = h0.type;
 
-    const std::size_t len = h0.payloadLen;
     if (len == 0) {
         out._payload = PayloadBuf();
         return true;
     }
-    if (framesCoverOneBuffer(frames, len)) {
-        // Zero-copy reassembly: every frame views the same buffer at
-        // its wire offset, so the message re-adopts it whole.
-        out._payload = frames.front().view.buffer();
+    if (one_buffer) {
+        // Zero-copy reassembly: the message re-adopts the buffer whole.
+        out._payload = buf;
         return true;
     }
     // Gather fallback: frames carry foreign or partial views (hand-
@@ -260,10 +244,11 @@ RpcMessage::fromFrame(const Frame &f, RpcMessage &out)
 }
 
 bool
-Reassembler::push(Frame frame, RpcMessage &out)
+Reassembler::push(Frame &&frame, RpcMessage &out)
 {
     const FrameHeader &h = frame.header;
-    if (h.frameCount() == 1) {
+    const std::size_t count = h.frameCount();
+    if (count == 1) {
         // Fast path: single-line RPC, no state needed.
         if (RpcMessage::fromFrame(frame, out))
             return true;
@@ -271,33 +256,56 @@ Reassembler::push(Frame frame, RpcMessage &out)
         return false;
     }
     const Key key{h.connId, h.rpcId, h.type};
-    Partial &p = _partial[key];
-    if (h.frameIdx == 0 && !p.frames.empty()) {
+    std::vector<Frame> &frames = partialFor(key);
+    if (h.frameIdx == 0 && !frames.empty()) {
         // A fresh first frame behind a stale partial: an earlier copy
         // of this RPC lost its tail (an RX-ring overflow drop) and this
         // is a resend.  Count the stale copy once and start over, or
         // the leftover would make every frame of the resend malformed.
         ++_malformed;
-        p.frames.clear();
+        frames.clear();
     }
-    if (p.frames.empty())
-        p.frames.reserve(h.frameCount());
-    if (frame.header.frameIdx != p.frames.size()) {
+    if (h.frameIdx != frames.size()) {
         // Out-of-sequence frame within a flow: the fabric preserves
         // per-flow FIFO order, so this indicates corruption.  Drop the
         // whole partial message.
         ++_malformed;
-        _partial.erase(key);
+        finish(key, frames);
         return false;
     }
-    p.frames.push_back(std::move(frame));
-    if (p.frames.size() < h.frameCount())
+    if (frames.empty())
+        frames.reserve(count);
+    frames.push_back(std::move(frame));
+    if (frames.size() < count)
         return false;
-    const bool ok = RpcMessage::fromFrames(p.frames, out);
-    _partial.erase(key);
+    const bool ok = RpcMessage::fromFrames(frames, out);
+    finish(key, frames);
     if (!ok)
         ++_malformed;
     return ok;
+}
+
+std::vector<Frame> &
+Reassembler::partialFor(const Key &key)
+{
+    if (!_current.empty() && key == _currentKey)
+        return _current; // the direct hit: the next frame of this RPC
+    if (auto it = _others.find(key); it != _others.end())
+        return it->second;
+    if (_current.empty()) {
+        _currentKey = key;
+        return _current;
+    }
+    return _others[key];
+}
+
+void
+Reassembler::finish(const Key &key, std::vector<Frame> &frames)
+{
+    if (&frames == &_current)
+        _current.clear(); // keeps its storage for the next message
+    else
+        _others.erase(key);
 }
 
 } // namespace dagger::proto

@@ -24,10 +24,13 @@
 #include <cstdint>
 #include <cstring>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "proto/payload.hh"
+#include "sim/check.hh"
 #include "sim/logging.hh"
+#include "sim/ring_queue.hh"
 
 namespace dagger::proto {
 
@@ -207,6 +210,83 @@ std::vector<Frame> takeBurst(std::size_t n);
 void recycleBurst(std::vector<Frame> &&frames);
 
 /**
+ * A FIFO of frames kept in the bursts they arrived in.  A whole burst
+ * (a packet's frame vector, an RX delivery) joins the back without its
+ * frames moving; frames leave from the front one at a time, and a
+ * drained burst goes back to the burst cache.  The TX ring, the RX
+ * ring and the NIC request buffer all queue frames this way, so a
+ * frame moves once per queue: when it leaves.
+ */
+class FrameFifo
+{
+  public:
+    std::size_t size() const { return _size; }
+    bool empty() const { return _size == 0; }
+
+    /** Append every frame of @p burst. */
+    void
+    pushBurst(std::vector<Frame> &&burst)
+    {
+        if (burst.empty()) {
+            recycleBurst(std::move(burst));
+            return;
+        }
+        _size += burst.size();
+        _bursts.push_back(std::move(burst));
+    }
+
+    /**
+     * Construct one frame at the back (an RpcMessage::appendFrames()
+     * sink).  A full back burst is never grown: the frame opens a
+     * fresh kBurstFrames burst from the cache instead.
+     */
+    template <typename... Args>
+    Frame &
+    emplace_back(Args &&...args)
+    {
+        if (_bursts.empty() ||
+            _bursts.back().size() == _bursts.back().capacity())
+            _bursts.push_back(takeBurst(kBurstFrames));
+        ++_size;
+        return _bursts.back().emplace_back(std::forward<Args>(args)...);
+    }
+
+    Frame &front() { return _bursts.front()[_head]; }
+
+    /** Drop the front frame (move it out through front() first). */
+    void
+    pop_front()
+    {
+        DAGGER_DCHECK(_size > 0, "pop_front on an empty frame FIFO");
+        --_size;
+        if (++_head == _bursts.front().size()) {
+            recycleBurst(std::move(_bursts.front()));
+            _bursts.pop_front();
+            _head = 0;
+        }
+    }
+
+    /** Move up to @p n frames from the front into a recyclable burst. */
+    std::vector<Frame>
+    popBurst(std::size_t n)
+    {
+        const std::size_t take = std::min(n, _size);
+        std::vector<Frame> out = takeBurst(take);
+        for (std::size_t i = 0; i < take; ++i) {
+            out.push_back(std::move(front()));
+            pop_front();
+        }
+        return out;
+    }
+
+  private:
+    sim::RingQueue<std::vector<Frame>> _bursts;
+    /// frames of _bursts.front() already popped
+    std::size_t _head = 0;
+    std::size_t _size = 0;
+};
+
+/**
  * A complete RPC message: header metadata plus a refcounted flat
  * payload.  This is the unit the software API and the NIC RPC unit
  * operate on.  Copying a message passes the payload handle.
@@ -275,12 +355,13 @@ class RpcMessage
     std::vector<Frame> toFrames() const;
 
     /**
-     * Reassemble from frames.  Frames may arrive in order within one
-     * message (per-flow FIFO order is preserved by the fabric).  When
-     * every frame views the same underlying buffer at its wire offset
-     * — the invariant toFrames() establishes — the buffer is adopted
-     * outright; otherwise the bytes are gathered into a fresh buffer
-     * (and counted as copies).
+     * Reassemble from frames, checking header consistency and every
+     * frame's checksum on the way.  Frames may arrive in order within
+     * one message (per-flow FIFO order is preserved by the fabric).
+     * When every frame views the same underlying buffer at its wire
+     * offset — the invariant toFrames() establishes — the buffer is
+     * adopted outright; otherwise the bytes are gathered into a fresh
+     * buffer (and counted as copies).
      * @retval false malformed input (count/len/checksum mismatch).
      */
     static bool fromFrames(const std::vector<Frame> &frames,
@@ -292,12 +373,6 @@ class RpcMessage
      * materializing the vector.
      */
     static bool fromFrame(const Frame &frame, RpcMessage &out);
-
-    /**
-     * The validation half of fromFrames() — header consistency and
-     * per-frame checksums — without reassembling the payload.
-     */
-    static bool validateFrames(const std::vector<Frame> &frames);
 
     /**
      * Header-consistency check alone: frameIdx sequence, shared
@@ -343,19 +418,35 @@ class RpcMessage
  * complete() fires the instant the last frame of a message arrives.
  * Buffered frames keep their payload views, so the source buffer
  * stays alive for as long as any message is under assembly.
+ *
+ * Frames of one RPC arrive back to back on a flow, so the message
+ * under assembly when no other is pending lives outside the hash map:
+ * its frames hit it directly, and its frame storage is kept for the
+ * next message.  Messages interleaved with it go to the map.
  */
 class Reassembler
 {
   public:
     /**
-     * Feed one frame (by value: callers that own the frame move it in
-     * and the buffered copy is a handle steal, not a handle pass).
+     * Feed one frame.  Callers that own the frame move it in, and the
+     * buffered frame is a handle steal, not a handle pass.
      * @retval true @p out now holds a complete message.
      */
-    bool push(Frame frame, RpcMessage &out);
+    bool push(Frame &&frame, RpcMessage &out);
+
+    /** Feed a copy of @p frame (one handle pass). */
+    bool
+    push(const Frame &frame, RpcMessage &out)
+    {
+        return push(Frame(frame), out);
+    }
 
     /** Messages currently under assembly. */
-    std::size_t inFlight() const { return _partial.size(); }
+    std::size_t
+    inFlight() const
+    {
+        return _others.size() + (_current.empty() ? 0 : 1);
+    }
 
     /** Frames dropped due to malformed sequences. */
     std::uint64_t malformed() const { return _malformed; }
@@ -381,12 +472,16 @@ class Reassembler
         }
     };
 
-    struct Partial
-    {
-        std::vector<Frame> frames;
-    };
+    /** The frames buffered for @p key's message (possibly none yet). */
+    std::vector<Frame> &partialFor(const Key &key);
+    /** Forget @p key's message, whose frames are @p frames. */
+    void finish(const Key &key, std::vector<Frame> &frames);
 
-    std::unordered_map<Key, Partial, KeyHash> _partial;
+    /// the direct-hit message (none when empty) and its key
+    std::vector<Frame> _current;
+    Key _currentKey{};
+    /// every other message under assembly
+    std::unordered_map<Key, std::vector<Frame>, KeyHash> _others;
     std::uint64_t _malformed = 0;
 };
 

@@ -25,7 +25,6 @@
 #include "sim/check.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
-#include "sim/ring_queue.hh"
 
 namespace dagger::rpc {
 
@@ -47,7 +46,7 @@ class TxRing
     std::size_t used() const { return _used; }
 
     /** Frames written and not yet fetched by the NIC. */
-    std::size_t pendingFrames() const { return _pendingFrames; }
+    std::size_t pendingFrames() const { return _pending.size(); }
 
     /** True if a message of @p frames frames fits right now. */
     bool
@@ -77,11 +76,9 @@ class TxRing
         DAGGER_INVARIANT(_used <= _capacity,
                          "TX ring over-filled: used=", _used,
                          " capacity=", _capacity);
-        DAGGER_DCHECK(_pendingFrames + frames <= _used,
+        DAGGER_DCHECK(_pending.size() + frames <= _used,
                       "TX ring pending frames exceed occupancy");
-        BurstWriter writer{_pending};
-        msg.appendFrames(writer);
-        _pendingFrames += frames;
+        msg.appendFrames(_pending);
         if (_notify)
             _notify();
         return true;
@@ -95,19 +92,8 @@ class TxRing
     std::vector<proto::Frame>
     popFrames(std::size_t n)
     {
-        const std::size_t take = std::min(n, _pendingFrames);
-        std::vector<proto::Frame> out = proto::takeBurst(take);
-        for (std::size_t i = 0; i < take; ++i) {
-            std::vector<proto::Frame> &front = _pending.front();
-            out.push_back(std::move(front[_pendingHead]));
-            if (++_pendingHead == front.size()) {
-                proto::recycleBurst(std::move(front));
-                _pending.pop_front();
-                _pendingHead = 0;
-            }
-        }
-        _pendingFrames -= take;
-        _poppedFrames += take;
+        std::vector<proto::Frame> out = _pending.popBurst(n);
+        _poppedFrames += out.size();
         DAGGER_DCHECK(_poppedFrames <= _pushedFrames,
                       "TX ring popped more frames than were pushed");
         return out;
@@ -140,23 +126,6 @@ class TxRing
   private:
     std::size_t _capacity;
     std::size_t _used = 0;
-    /** appendFrames() sink: fills the back burst of _pending, opening
-     *  a fresh one from the burst cache when it is full. */
-    struct BurstWriter
-    {
-        sim::RingQueue<std::vector<proto::Frame>> &bursts;
-
-        template <typename... Args>
-        proto::Frame &
-        emplace_back(Args &&...args)
-        {
-            if (bursts.empty() ||
-                bursts.back().size() == proto::kBurstFrames)
-                bursts.push_back(proto::takeBurst(proto::kBurstFrames));
-            return bursts.back().emplace_back(std::forward<Args>(args)...);
-        }
-    };
-
     // Frames written but not yet fetched, in bursts of kBurstFrames
     // drawn from (and returned to) the per-thread burst cache.  Not one
     // RingQueue<Frame>: a doorbell-batched 4 KB echo leaves ~700 frames
@@ -164,10 +133,7 @@ class TxRing
     // cost 0.17 MB (+3%) of peak RSS (PERF.md, "Allocation-free frame
     // path").  Bursts drain back to the cache and the allocator and are
     // shared with every other ring of the thread.
-    sim::RingQueue<std::vector<proto::Frame>> _pending;
-    /// frames of _pending.front() the NIC has already claimed
-    std::size_t _pendingHead = 0;
-    std::size_t _pendingFrames = 0;
+    proto::FrameFifo _pending;
     std::function<void()> _notify;
     std::function<void()> _spaceNotify;
     std::uint64_t _pushedFrames = 0;
@@ -193,29 +159,25 @@ class RxRing
     std::size_t occupied() const { return _frames.size(); }
 
     /**
-     * NIC: deliver a batch of frames; the batch's storage is recycled
-     * (proto::recycleBurst).
+     * NIC: deliver a batch of frames.  The ring keeps the batch as one
+     * burst; frames beyond its free entries are dropped from the tail.
      * @return number of frames actually accepted (rest dropped).
      */
     std::size_t
     deliver(std::vector<proto::Frame> frames)
     {
-        std::size_t accepted = 0;
-        for (auto &f : frames) {
-            if (_frames.size() >= _capacity) {
-                ++_drops;
-                continue;
-            }
-            _frames.push_back(std::move(f));
-            ++accepted;
-        }
+        const std::size_t room = _capacity - _frames.size();
+        const std::size_t accepted = std::min(frames.size(), room);
+        _drops += frames.size() - accepted;
+        frames.erase(frames.begin() + static_cast<std::ptrdiff_t>(accepted),
+                     frames.end());
+        _frames.pushBurst(std::move(frames));
         DAGGER_INVARIANT(_frames.size() <= _capacity,
                          "RX ring over-filled: occupied=", _frames.size(),
                          " capacity=", _capacity);
         _deliveredFrames += accepted;
         if (_notify && accepted > 0)
             _notify();
-        proto::recycleBurst(std::move(frames));
         return accepted;
     }
 
@@ -230,9 +192,10 @@ class RxRing
     popMessage(proto::RpcMessage &out)
     {
         while (!_frames.empty()) {
-            proto::Frame f = std::move(_frames.front());
+            const bool done =
+                _reassembler.push(std::move(_frames.front()), out);
             _frames.pop_front();
-            if (_reassembler.push(std::move(f), out))
+            if (done)
                 return true;
         }
         return false;
@@ -247,7 +210,7 @@ class RxRing
 
   private:
     std::size_t _capacity;
-    sim::RingQueue<proto::Frame> _frames;
+    proto::FrameFifo _frames;
     proto::Reassembler _reassembler;
     std::function<void()> _notify;
     std::uint64_t _drops = 0;

@@ -50,6 +50,15 @@ class EventClosure
             std::is_nothrow_move_constructible_v<D>;
     }
 
+    /** True when @p F is stored inline and relocates by a byte copy. */
+    template <typename F>
+    static constexpr bool
+    relocatesByMemcpy()
+    {
+        return fitsInline<F>() &&
+            std::is_trivially_copyable_v<std::decay_t<F>>;
+    }
+
     EventClosure() noexcept = default;
 
     template <typename F>

@@ -47,6 +47,14 @@ class SlotTable
         return slot;
     }
 
+    /** The value parked in @p slot, left in place. */
+    T &
+    at(Slot slot)
+    {
+        DAGGER_DCHECK(slot < _slots.size(), "bad slot ", slot);
+        return _slots[slot];
+    }
+
     /** Move the value out of @p slot and free the slot. */
     T
     take(Slot slot)

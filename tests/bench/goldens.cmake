@@ -1,5 +1,6 @@
 # ctest script for test_bench_goldens: run every bench binary once at
-# a fixed --jobs count, strip the fields that measure the host rather
+# a fixed --jobs count under --strict (a missed paper anchor exits 2
+# and fails the test), strip the fields that measure the host rather
 # than the simulation, and compare the SHA-256 of each normalized
 # BENCH_<name>.json against the committed digest in goldens.txt.
 #
@@ -55,10 +56,13 @@ set(actual "")
 foreach(name IN LISTS names)
     set(json ${WORKDIR}/bench_goldens_${name}.json)
     execute_process(
-        COMMAND ${BENCH_DIR}/${name} --jobs ${jobs} --json ${json}
+        COMMAND ${BENCH_DIR}/${name} --jobs ${jobs} --strict --json ${json}
         RESULT_VARIABLE rc
         OUTPUT_QUIET)
-    if(NOT rc EQUAL 0)
+    if(rc EQUAL 2)
+        list(APPEND failures "${name}: missed a paper anchor (--strict)")
+        continue()
+    elseif(NOT rc EQUAL 0)
         list(APPEND failures "${name}: exited with ${rc}")
         continue()
     endif()

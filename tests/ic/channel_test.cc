@@ -19,13 +19,24 @@ using sim::EventQueue;
 using sim::nsToTicks;
 using sim::Tick;
 
+/** A serviced callback that ignores completions. */
+void
+ignoreServiced(unsigned, std::uint32_t)
+{}
+
 TEST(Channel, SingleTransactionTiming)
 {
     EventQueue eq;
-    Channel ch(eq, nsToTicks(10), nsToTicks(20), 1);
     Tick done_at = 0;
-    ch.request(0, 4, [&] { done_at = eq.now(); });
+    std::uint32_t done_tag = 0;
+    Channel ch(eq, nsToTicks(10), nsToTicks(20), 1,
+               [&](unsigned, std::uint32_t tag) {
+                   done_at = eq.now();
+                   done_tag = tag;
+               });
+    ch.request(0, 4, 7);
     eq.runAll();
+    EXPECT_EQ(done_tag, 7u);
     // 20 overhead + 4 lines * 10.
     EXPECT_EQ(done_at, nsToTicks(60));
     EXPECT_EQ(ch.linesServiced(), 4u);
@@ -36,10 +47,11 @@ TEST(Channel, SingleTransactionTiming)
 TEST(Channel, BackToBackTransactionsSerialize)
 {
     EventQueue eq;
-    Channel ch(eq, nsToTicks(10), 0, 1);
     std::vector<Tick> done;
-    for (int i = 0; i < 3; ++i)
-        ch.request(0, 1, [&] { done.push_back(eq.now()); });
+    Channel ch(eq, nsToTicks(10), 0, 1,
+               [&](unsigned, std::uint32_t) { done.push_back(eq.now()); });
+    for (std::uint32_t i = 0; i < 3; ++i)
+        ch.request(0, 1, i);
     eq.runAll();
     ASSERT_EQ(done.size(), 3u);
     EXPECT_EQ(done[0], nsToTicks(10));
@@ -50,11 +62,11 @@ TEST(Channel, BackToBackTransactionsSerialize)
 TEST(Channel, RoundRobinIsFairUnderContention)
 {
     EventQueue eq;
-    Channel ch(eq, nsToTicks(10), 0, 3);
+    Channel ch(eq, nsToTicks(10), 0, 3, ignoreServiced);
     // Saturate all three ports.
     for (unsigned p = 0; p < 3; ++p)
-        for (int i = 0; i < 100; ++i)
-            ch.request(p, 1, [] {});
+        for (std::uint32_t i = 0; i < 100; ++i)
+            ch.request(p, 1, i);
     eq.runAll();
     const auto &g = ch.grants();
     EXPECT_EQ(g[0], 100u);
@@ -67,13 +79,18 @@ TEST(Channel, RoundRobinIsFairUnderContention)
 TEST(Channel, AddPortGrowsArbiter)
 {
     EventQueue eq;
-    Channel ch(eq, nsToTicks(1), 0, 1);
+    int done = 0;
+    unsigned done_port = 0;
+    Channel ch(eq, nsToTicks(1), 0, 1, [&](unsigned port, std::uint32_t) {
+        ++done;
+        done_port = port;
+    });
     EXPECT_EQ(ch.addPort(), 1u);
     EXPECT_EQ(ch.addPort(), 2u);
-    int done = 0;
-    ch.request(2, 1, [&] { ++done; });
+    ch.request(2, 1, 0);
     eq.runAll();
     EXPECT_EQ(done, 1);
+    EXPECT_EQ(done_port, 2u);
 }
 
 TEST(CciFabric, FetchLatencyIncludesPropagation)

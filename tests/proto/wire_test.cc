@@ -189,6 +189,101 @@ TEST(Reassembler, ResendAfterTruncatedCopyReassembles)
     EXPECT_EQ(r.inFlight(), 0u);
 }
 
+// The reassembler keeps the message it is assembling out of its hash
+// map, so consecutive frames of one RPC hit it directly.  The next
+// three tests drive both homes — the direct slot and the map — through
+// interleaving, stale partials and out-of-sequence frames.
+
+TEST(Reassembler, DirectHitWithTwoRpcsInterleavedOnOneRing)
+{
+    Reassembler r;
+    RpcMessage a = makeMsg(130, 1, 1), b = makeMsg(140, 1, 2);
+    RpcMessage c = makeMsg(100, 1, 3), out;
+    auto fa = a.toFrames(), fb = b.toFrames(), fc = c.toFrames();
+    ASSERT_EQ(fa.size(), 3u);
+    ASSERT_EQ(fb.size(), 3u);
+    ASSERT_EQ(fc.size(), 3u);
+    // a takes the direct slot, b the map.
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_FALSE(r.push(fa[i], out));
+        EXPECT_FALSE(r.push(fb[i], out));
+    }
+    EXPECT_EQ(r.inFlight(), 2u);
+    ASSERT_TRUE(r.push(fa[2], out));
+    EXPECT_EQ(out.rpcId(), 1u);
+    EXPECT_EQ(out.payload(), a.payload());
+    // c reuses the freed direct slot while b is still in the map.
+    EXPECT_FALSE(r.push(fc[0], out));
+    EXPECT_EQ(r.inFlight(), 2u);
+    ASSERT_TRUE(r.push(fb[2], out));
+    EXPECT_EQ(out.rpcId(), 2u);
+    EXPECT_EQ(out.payload(), b.payload());
+    EXPECT_FALSE(r.push(fc[1], out));
+    ASSERT_TRUE(r.push(fc[2], out));
+    EXPECT_EQ(out.rpcId(), 3u);
+    EXPECT_EQ(out.payload(), c.payload());
+    EXPECT_EQ(r.inFlight(), 0u);
+    EXPECT_EQ(r.malformed(), 0u);
+}
+
+TEST(Reassembler, DirectHitStalePartialThenResend)
+{
+    Reassembler r;
+    RpcMessage a = makeMsg(200, 1, 1), b = makeMsg(200, 1, 2), out;
+    auto fa = a.toFrames(), fb = b.toFrames();
+    ASSERT_EQ(fa.size(), 5u);
+    // Truncated copies: a in the direct slot, b in the map.
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_FALSE(r.push(fa[i], out));
+        EXPECT_FALSE(r.push(fb[i], out));
+    }
+    // Both are resent whole, interleaved; each first frame discards
+    // its own stale partial, counted once.
+    for (std::size_t i = 0; i + 1 < fa.size(); ++i) {
+        EXPECT_FALSE(r.push(fb[i], out));
+        EXPECT_FALSE(r.push(fa[i], out));
+    }
+    EXPECT_EQ(r.malformed(), 2u);
+    EXPECT_EQ(r.inFlight(), 2u);
+    ASSERT_TRUE(r.push(fa.back(), out));
+    EXPECT_EQ(out.payload(), a.payload());
+    ASSERT_TRUE(r.push(fb.back(), out));
+    EXPECT_EQ(out.payload(), b.payload());
+    EXPECT_EQ(r.malformed(), 2u);
+    EXPECT_EQ(r.inFlight(), 0u);
+}
+
+TEST(Reassembler, DirectHitOutOfSequenceFrame)
+{
+    Reassembler r;
+    RpcMessage a = makeMsg(130, 1, 1), b = makeMsg(130, 1, 2), out;
+    auto fa = a.toFrames(), fb = b.toFrames();
+    // A gap in the map-held message drops it and leaves the direct one.
+    EXPECT_FALSE(r.push(fa[0], out));
+    EXPECT_FALSE(r.push(fb[0], out));
+    EXPECT_FALSE(r.push(fb[2], out));
+    EXPECT_EQ(r.malformed(), 1u);
+    EXPECT_EQ(r.inFlight(), 1u);
+    EXPECT_FALSE(r.push(fa[1], out));
+    ASSERT_TRUE(r.push(fa[2], out));
+    EXPECT_EQ(out.payload(), a.payload());
+    // A gap in the direct message drops it; a later message then
+    // reassembles in the same slot.
+    EXPECT_FALSE(r.push(fb[0], out));
+    EXPECT_FALSE(r.push(fb[2], out));
+    EXPECT_EQ(r.malformed(), 2u);
+    EXPECT_EQ(r.inFlight(), 0u);
+    // A non-first frame of an unknown message starts nothing.
+    EXPECT_FALSE(r.push(fb[1], out));
+    EXPECT_EQ(r.malformed(), 3u);
+    EXPECT_EQ(r.inFlight(), 0u);
+    for (std::size_t i = 0; i + 1 < fa.size(); ++i)
+        EXPECT_FALSE(r.push(fa[i], out));
+    ASSERT_TRUE(r.push(fa.back(), out));
+    EXPECT_EQ(out.payload(), a.payload());
+    EXPECT_EQ(r.malformed(), 3u);
+}
+
 TEST(Wire, BurstStorageIsRecycledByExactSize)
 {
     std::vector<Frame> burst = takeBurst(3);

@@ -105,7 +105,7 @@ TEST(AllocBudget, FourKbDoorbellBatchEcho)
     const double per_rpc = newCallsPerRpc(opt, 8);
     std::printf("4 KB doorbell echo: %.2f operator new calls per RPC\n",
                 per_rpc);
-    EXPECT_LE(per_rpc, 25.0);
+    EXPECT_LE(per_rpc, 17.0);
 }
 
 } // namespace
