@@ -94,8 +94,6 @@ struct Storm
         const auto prio =
             static_cast<dagger::sim::Priority>(((r >> 32) % 3) * 100);
         auto next = [this] { step(); };
-        static_assert(
-            dagger::sim::EventClosure::fitsInline<decltype(next)>());
         eq.schedule(d, std::move(next), prio);
     }
 };

@@ -43,9 +43,6 @@ class MicaBackend final : public KvBackend
         return true;
     }
 
-    /** Observed LLC hit rate of the item working set. */
-    double llcHitRate() const { return _llc.hitRate(); }
-
   private:
     sim::Tick
     accessCost(std::string_view key, bool is_get)

@@ -69,7 +69,6 @@ class MicaPartition
     bool erase(std::string_view key);
 
     const MicaStats &stats() const { return _stats; }
-    std::size_t logBytes() const { return _logBytes; }
 
     /** Record an EREW violation observed by the owning store. */
     void noteCrossPartition() { ++_stats.crossPartition; }

@@ -96,9 +96,6 @@ OpenLoopGen::armCohort(std::size_t idx)
         spec.perClientRps * spec.diurnal.at(_eq.now());
     const double mean_gap_us = 1e6 / rate;
     auto fire = [this, idx] { onArrival(idx); };
-    // One event per in-flight cohort gap; keep it on the event pool's
-    // allocation-free inline path.
-    static_assert(sim::EventClosure::fitsInline<decltype(fire)>());
     _eq.schedule(sim::usToTicks(c.rng.exponential(mean_gap_us)),
                  std::move(fire));
 }

@@ -20,102 +20,84 @@ SoftRpcNode::scaled(sim::Tick cost) const
 }
 
 void
-SoftRpcNode::call(SoftRpcNode &dest, Payload request,
-                  std::function<void(const Payload &, sim::Tick)> cb)
+SoftRpcNode::call(SoftRpcNode &dest, Payload request, Callback cb)
 {
-    const sim::Tick t0 = _eq.now();
-
-    // Delivery of the response back at this (caller) node.
-    auto reply = [this, cb = std::move(cb), t0](Payload resp) mutable {
-        receiveResponse(std::move(resp),
-                        [this, cb = std::move(cb), t0](Payload r) {
-                            if (cb)
-                                cb(r, _eq.now() - t0);
-                        });
-    };
+    const Slot slot = _calls.park(
+        Call{&dest, std::move(request), std::move(cb), _eq.now()});
 
     // Sender-side RPC + transport layers on the app thread, then wire.
     _app.execute(scaled(_params.rpcSendCpu + _params.transportSendCpu),
-                 [this, &dest, request = std::move(request),
-                  reply = std::move(reply)]() mutable {
-                     auto hop = [&dest, request = std::move(request),
-                                 reply = std::move(reply)]() mutable {
-                         dest.receive(std::move(request),
-                                      std::move(reply));
-                     };
-                     // The software baseline deliberately threads fat
-                     // closures (payload + nested completion) through
-                     // every hop — exactly the per-RPC allocation and
-                     // copy overheads Dagger's NIC offload removes.
-                     // This one rides EventClosure's heap fallback.
-                     static_assert(!sim::EventClosure::fitsInline<
-                                   decltype(hop)>());
-                     _eq.schedule(_params.wireOneWay, std::move(hop),
-                                  sim::Priority::Hardware);
+                 [this, slot] {
+                     _eq.schedule(
+                         _params.wireOneWay,
+                         [this, slot] {
+                             _calls.at(slot).server->receive(*this, slot);
+                         },
+                         sim::Priority::Hardware);
                  });
 }
 
 void
-SoftRpcNode::receive(Payload request, std::function<void(Payload)> reply)
+SoftRpcNode::receive(SoftRpcNode &caller, Slot slot)
 {
-    const sim::Tick t2 = _eq.now();
+    caller._calls.at(slot).t2 = _eq.now();
     netThread().execute(
-        scaled(_params.transportRecvCpu),
-        [this, request = std::move(request), reply = std::move(reply),
-         t2]() mutable {
-            const sim::Tick t3 = _eq.now();
-            _app.execute(
-                scaled(_params.rpcRecvCpu),
-                [this, request = std::move(request),
-                 reply = std::move(reply), t2, t3]() mutable {
-                    const sim::Tick t4 = _eq.now();
-                    dagger_assert(_handler, "SoftRpcNode without handler");
-                    ++_handled;
-                    auto respond = [this, reply = std::move(reply), t2, t3,
-                                    t4](Payload response,
-                                        sim::Tick app_cost) mutable {
-                        const sim::Tick t5 = _eq.now();
-                        _app.execute(
-                            scaled(app_cost + _params.rpcSendCpu +
-                                   _params.transportSendCpu),
-                            [this, reply = std::move(reply),
-                             response = std::move(response), t2, t3, t4, t5,
-                             app_cost]() mutable {
-                                const sim::Tick t6 = _eq.now();
-                                _served.transport.record(t3 - t2);
-                                _served.rpc.record((t4 - t3) +
-                                                   (t6 - t5 - app_cost));
-                                _served.app.record((t5 - t4) + app_cost);
-                                _served.total.record(t6 - t2);
-                                _eq.schedule(
-                                    _params.wireOneWay,
-                                    [reply = std::move(reply),
-                                     response =
-                                         std::move(response)]() mutable {
-                                        reply(std::move(response));
-                                    },
-                                    sim::Priority::Hardware);
-                            });
-                    };
-                    _handler(request, std::move(respond));
+        scaled(_params.transportRecvCpu), [this, &caller, slot] {
+            caller._calls.at(slot).t3 = _eq.now();
+            _app.execute(scaled(_params.rpcRecvCpu), [this, &caller, slot] {
+                Call &c = caller._calls.at(slot);
+                c.t4 = _eq.now();
+                dagger_assert(_handler, "SoftRpcNode without handler");
+                ++_handled;
+                // The handler may respond, or call out, before it
+                // returns: both can touch the slot table, so the
+                // request leaves it first.  The responder captures
+                // 16 B, which std::function holds without allocating.
+                const Payload request = std::move(c.payload);
+                _handler(request, [caller = &caller, slot](
+                                      Payload response, sim::Tick app_cost) {
+                    caller->_calls.at(slot).server->respond(
+                        *caller, slot, std::move(response), app_cost);
                 });
+            });
         });
 }
 
 void
-SoftRpcNode::receiveResponse(Payload response,
-                             std::function<void(Payload)> done)
+SoftRpcNode::respond(SoftRpcNode &caller, Slot slot, Payload response,
+                     sim::Tick app_cost)
 {
-    netThread().execute(
-        scaled(_params.transportRecvCpu),
-        [this, response = std::move(response),
-         done = std::move(done)]() mutable {
-            _app.execute(scaled(_params.rpcRecvCpu),
-                         [response = std::move(response),
-                          done = std::move(done)]() mutable {
-                             done(std::move(response));
-                         });
+    Call &c = caller._calls.at(slot);
+    c.payload = std::move(response);
+    c.t5 = _eq.now();
+    c.appCost = app_cost;
+    _app.execute(
+        scaled(app_cost + _params.rpcSendCpu + _params.transportSendCpu),
+        [this, &caller, slot] {
+            const Call &c = caller._calls.at(slot);
+            const sim::Tick t6 = _eq.now();
+            _served.transport.record(c.t3 - c.t2);
+            _served.rpc.record((c.t4 - c.t3) + (t6 - c.t5 - c.appCost));
+            _served.app.record((c.t5 - c.t4) + c.appCost);
+            _served.total.record(t6 - c.t2);
+            _eq.schedule(
+                _params.wireOneWay,
+                [&caller, slot] { caller.receiveResponse(slot); },
+                sim::Priority::Hardware);
         });
+}
+
+void
+SoftRpcNode::receiveResponse(Slot slot)
+{
+    netThread().execute(scaled(_params.transportRecvCpu), [this, slot] {
+        _app.execute(scaled(_params.rpcRecvCpu), [this, slot] {
+            // Free the slot first: the callback may issue a new call.
+            const Call c = _calls.take(slot);
+            if (c.cb)
+                c.cb(c.payload, _eq.now() - c.t0);
+        });
+    });
 }
 
 } // namespace dagger::baseline

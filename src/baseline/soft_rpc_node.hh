@@ -27,6 +27,7 @@
 #include "proto/payload.hh"
 #include "rpc/cpu.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
 namespace dagger::baseline {
@@ -60,6 +61,9 @@ class SoftRpcNode
     using SHandler = std::function<void(const Payload &request,
                                         Responder respond)>;
 
+    /** Caller callback: the response payload and the measured RTT. */
+    using Callback = std::function<void(const Payload &, sim::Tick rtt)>;
+
     /**
      * @param eq    event queue
      * @param p     stack cost model
@@ -92,8 +96,7 @@ class SoftRpcNode
      * Issue an RPC to @p dest.  @p cb runs on this node's app thread
      * with the response payload and the measured RTT.
      */
-    void call(SoftRpcNode &dest, Payload request,
-              std::function<void(const Payload &, sim::Tick rtt)> cb);
+    void call(SoftRpcNode &dest, Payload request, Callback cb);
 
     /** Serving-side breakdown of everything this node handled. */
     const ServeBreakdown &served() const { return _served; }
@@ -101,13 +104,35 @@ class SoftRpcNode
 
     std::uint64_t handled() const { return _handled; }
     const SoftStackParams &params() const { return _params; }
-    rpc::HwThread &appThread() { return _app; }
     rpc::HwThread &netThread() { return _net ? *_net : _app; }
 
   private:
-    void receive(Payload request, std::function<void(Payload)> reply);
-    void receiveResponse(Payload response,
-                         std::function<void(Payload)> done);
+    /**
+     * One in-flight call, parked at the caller from call() until the
+     * response reaches the caller's app thread.  Every event of the
+     * call captures only node pointers and the slot.
+     */
+    struct Call
+    {
+        SoftRpcNode *server = nullptr;
+        Payload payload; ///< the request, then the response
+        Callback cb;
+        sim::Tick t0 = 0; ///< issued at the caller
+        sim::Tick t2 = 0; ///< arrived at the server
+        sim::Tick t3 = 0; ///< transport receive done
+        sim::Tick t4 = 0; ///< RPC receive done, handler starts
+        sim::Tick t5 = 0; ///< handler responded
+        sim::Tick appCost = 0;
+    };
+    using Slot = sim::SlotTable<Call>::Slot;
+
+    /** Server side: the request of @p caller's call @p slot arrived. */
+    void receive(SoftRpcNode &caller, Slot slot);
+    /** Server side: the handler answered @p caller's call @p slot. */
+    void respond(SoftRpcNode &caller, Slot slot, Payload response,
+                 sim::Tick app_cost);
+    /** Caller side: the response of call @p slot arrived. */
+    void receiveResponse(Slot slot);
 
     /** Cost scaled by the colocation slowdown when applicable. */
     sim::Tick scaled(sim::Tick cost) const;
@@ -120,6 +145,7 @@ class SoftRpcNode
     SHandler _handler;
     ServeBreakdown _served;
     std::uint64_t _handled = 0;
+    sim::SlotTable<Call> _calls;
 };
 
 } // namespace dagger::baseline

@@ -142,7 +142,6 @@ class CciFabric
               UpiCost upi = {}, PcieCost pcie = {});
 
     CciPort &port(unsigned i);
-    unsigned numPorts() const { return static_cast<unsigned>(_ports.size()); }
 
     /** Attach another NIC instance to the shared fabric (Fig. 14). */
     CciPort &addPort();

@@ -2,8 +2,8 @@
  * @file
  * Generic direct-mapped cache model with hit/miss/eviction statistics.
  *
- * Used for the Host Coherent Cache (HCC, 128 KB, §4.1) and as the
- * building block of the NIC connection cache (§4.2).
+ * Used for the Host Coherent Cache (HCC, 128 KB, §4.1).  The NIC
+ * connection cache (§4.2) keeps its own table in ConnectionManager.
  */
 
 #ifndef DAGGER_MEM_DIRECT_MAPPED_CACHE_HH

@@ -67,7 +67,6 @@ class Hcc
     std::uint64_t hits() const { return _lines.hits(); }
     std::uint64_t misses() const { return _lines.misses(); }
     double hitRate() const { return _lines.hitRate(); }
-    sim::Tick missLatency() const { return _missLatency; }
 
     /** Register HCC statistics. */
     void

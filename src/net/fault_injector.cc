@@ -103,10 +103,11 @@ FaultInjector::schedule(SwitchPort &port, PortState &st, Packet pkt,
         port.receiverDeliver(std::move(pkt));
         return;
     }
+    const auto slot = _delayed.park(std::move(pkt));
     _eq.schedule(delay,
-                 [port = &port, st = &st, pkt = std::move(pkt)]() mutable {
+                 [this, port = &port, st = &st, slot] {
                      ++st->delivered;
-                     port->receiverDeliver(std::move(pkt));
+                     port->receiverDeliver(_delayed.take(slot));
                  },
                  sim::Priority::Hardware);
 }

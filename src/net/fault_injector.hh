@@ -34,6 +34,7 @@
 #include "net/tor_switch.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
+#include "sim/slot_table.hh"
 
 namespace dagger::net {
 
@@ -149,6 +150,9 @@ class FaultInjector
 
     /** Keyed by port; entries are created by install(). */
     std::map<const SwitchPort *, PortState> _ports;
+
+    /** Packets held back by a duplicate or reorder delay. */
+    sim::SlotTable<Packet> _delayed;
 
     // Scripts are read-only during the run (see file comment).
     std::set<std::uint64_t> _scriptDrops;

@@ -71,9 +71,6 @@ AckProtocol::armTimer(const Key &key)
         _nic->protocolEgress(it->second.pkt); // resend a copy
         armTimer(key);
     };
-    // One timer per in-flight packet: `this` plus the 8-byte Key must
-    // stay within EventClosure's inline buffer.
-    static_assert(sim::EventClosure::fitsInline<decltype(expire)>());
     sim::EventQueue &eq = _nic->eventQueue();
     eq.schedule(_timeout, std::move(expire));
 }

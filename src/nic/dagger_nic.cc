@@ -306,9 +306,6 @@ DaggerNic::steerMessage(std::vector<proto::Frame> frames)
         maybePost(flow);
     } else {
         auto post = [this, flow] { maybePost(flow); };
-        // This fires once per steered RPC under CM-penalty pressure;
-        // it must never fall off EventClosure's allocation-free path.
-        static_assert(sim::EventClosure::fitsInline<decltype(post)>());
         _eq.schedule(penalty, std::move(post), sim::Priority::Hardware);
     }
 }

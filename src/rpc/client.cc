@@ -20,7 +20,6 @@ RpcClient::executeWithMessage(sim::Tick cost, proto::RpcMessage &&msg,
         _threadMsgs.pop_front();
         fn(m);
     };
-    static_assert(sim::EventClosure::fitsInline<decltype(run)>());
     _thread.execute(cost, std::move(run));
 }
 
@@ -195,9 +194,6 @@ void
 RpcClient::armCallTimer(proto::RpcId rpc_id, sim::Tick timeout)
 {
     auto expire = [this, rpc_id] { onCallTimeout(rpc_id); };
-    // One timer per in-flight retried call; hot under loss, so it must
-    // stay on the event pool's allocation-free path.
-    static_assert(sim::EventClosure::fitsInline<decltype(expire)>());
     _node.eq().schedule(timeout, std::move(expire));
 }
 
@@ -287,9 +283,6 @@ RpcClient::armResendRetry(proto::RpcId rpc_id)
         it2->second.resendQueued = false;
         resend(rpc_id);
     };
-    // Hot under ring backpressure; keep it on the event pool's
-    // allocation-free path.
-    static_assert(sim::EventClosure::fitsInline<decltype(fire)>());
     _node.eq().schedule(delay, std::move(fire));
 }
 

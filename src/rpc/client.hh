@@ -116,7 +116,6 @@ class RpcClient
      * for plain-callback calls).
      */
     void setRetryPolicy(RetryPolicy policy) { _retry = policy; }
-    const RetryPolicy &retryPolicy() const { return _retry; }
 
     /**
      * One-way call: fire-and-forget, no response expected and no

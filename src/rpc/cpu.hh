@@ -76,7 +76,6 @@ class CpuCore
     HwThread &thread(unsigned i);
     unsigned id() const { return _id; }
     EventQueue &eventQueue() { return _eq; }
-    double smtPenalty() const { return _smtPenalty; }
 
     /** Utilization of the core over a window (both threads, capped). */
     double utilization(Tick window) const;

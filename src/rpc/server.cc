@@ -41,7 +41,6 @@ WorkerPool::dispatchOne()
         --_inflight;
         fn();
     };
-    static_assert(sim::EventClosure::fitsInline<decltype(run)>());
     best->execute(h.cost, std::move(run));
 }
 
@@ -138,11 +137,9 @@ RpcServerThread::processNext()
                 Job done = _workerJobs.take(slot);
                 finishRequest(done.req, std::move(done.outcome));
             };
-            static_assert(sim::EventClosure::fitsInline<decltype(work)>());
             _pool->submit(worker_cost, std::move(work));
             processNext();
         };
-        static_assert(sim::EventClosure::fitsInline<decltype(handoff)>());
         _dispatch.execute(dispatch_cost, std::move(handoff));
         return;
     }
@@ -157,7 +154,6 @@ RpcServerThread::processNext()
         finishRequest(job.req, std::move(job.outcome));
         processNext();
     };
-    static_assert(sim::EventClosure::fitsInline<decltype(handle)>());
     _dispatch.execute(total, std::move(handle));
 }
 
@@ -182,14 +178,9 @@ RpcServerThread::respondLater(proto::ConnId conn, proto::RpcId rpc,
         proto::RpcMessage resp = std::move(_lateResponses.front());
         _lateResponses.pop_front();
         TxRing &tx = _node.flow(_flow).tx;
-        if (!_txBacklog.empty() || !tx.push(resp)) {
-            ++_txBlocked;
+        if (!_txBacklog.empty() || !tx.push(resp))
             _txBacklog.push_back(std::move(resp));
-            return;
-        }
-        ++_responsesSent;
     };
-    static_assert(sim::EventClosure::fitsInline<decltype(send)>());
     _dispatch.execute(_node.system().sendCpuCost(_node), std::move(send));
 }
 
@@ -203,22 +194,16 @@ RpcServerThread::finishRequest(const proto::RpcMessage &req,
                            proto::MsgType::Response,
                            std::move(outcome.response));
     TxRing &tx = _node.flow(_flow).tx;
-    if (!_txBacklog.empty() || !tx.push(resp)) {
-        ++_txBlocked;
+    if (!_txBacklog.empty() || !tx.push(resp))
         _txBacklog.push_back(std::move(resp));
-        return;
-    }
-    ++_responsesSent;
 }
 
 void
 RpcServerThread::flushResponses()
 {
     TxRing &tx = _node.flow(_flow).tx;
-    while (!_txBacklog.empty() && tx.push(_txBacklog.front())) {
+    while (!_txBacklog.empty() && tx.push(_txBacklog.front()))
         _txBacklog.pop_front();
-        ++_responsesSent;
-    }
 }
 
 RpcServerThread &

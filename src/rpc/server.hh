@@ -138,7 +138,6 @@ class RpcServerThread
     /** Install (or disable, with a default-constructed policy) load
      *  shedding on this thread's RX backlog. */
     void setShedPolicy(ShedPolicy policy) { _shed = policy; }
-    const ShedPolicy &shedPolicy() const { return _shed; }
 
     /**
      * Send a response outside the handler's return path.  Used by
@@ -164,8 +163,6 @@ class RpcServerThread
     void resume();
 
     std::uint64_t processed() const { return _processed; }
-    std::uint64_t responsesSent() const { return _responsesSent; }
-    std::uint64_t txBlocked() const { return _txBlocked; }
     std::uint64_t unhandled() const { return _unhandled; }
     /** Requests dropped by the shed policy. */
     std::uint64_t shedCalls() const { return _shedCalls; }
@@ -203,8 +200,6 @@ class RpcServerThread
     /** Jobs handed to the worker pool (they finish out of order). */
     sim::SlotTable<Job> _workerJobs;
     std::uint64_t _processed = 0;
-    std::uint64_t _responsesSent = 0;
-    std::uint64_t _txBlocked = 0;
     std::uint64_t _unhandled = 0;
     std::uint64_t _shedCalls = 0;
 };

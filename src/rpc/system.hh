@@ -113,8 +113,7 @@ class DaggerSystem
     void runUntilTick(sim::Tick when) { _eq.runUntil(when); }
     std::uint64_t eventsExecuted() const { return _eq.executed(); }
 
-    /** Pool/scheduler stats (the sim.events.* gauges, plus
-     *  heapClosures). */
+    /** Pool/scheduler stats (the sim.events.* gauges). */
     const sim::EventQueue::EngineStats &
     engineStats() const
     {

@@ -7,10 +7,10 @@
  * `this` pointer plus a word or two of arguments ([this], [this, key],
  * [this, flow], ...).  std::function copies, type-erases through a
  * 16-byte SBO, and heap-allocates everything bigger; EventClosure
- * instead guarantees inline storage for any nothrow-movable callable
- * up to kInlineBytes (48 B), so steady-state scheduling never touches
- * the allocator.  Oversized callables (e.g. ones that capture a whole
- * RpcMessage) fall back to a single owned heap copy.
+ * stores every callable inline, up to kInlineBytes (48 B), so
+ * scheduling never touches the allocator.  An oversized or
+ * throwing-move callable does not compile: park its state in a
+ * sim::SlotTable and capture the slot instead.
  *
  * Move-only on purpose: an event fires exactly once, and copyability
  * is what forced the old queue to deep-copy closures on every pop.
@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstring>
-#include <memory>
 // <new> is needed for placement construction into the inline buffer
 // and std::launder; the token-level linter flags the header name.
 #include <new> // dagger-lint: allow(no-raw-new-in-sim)
@@ -40,7 +39,7 @@ class EventClosure
     static constexpr std::size_t kInlineBytes = 48;
     static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-    /** True when @p F is stored inline (no allocation on construction). */
+    /** True when @p F fits the inline buffer, i.e. can be held at all. */
     template <typename F>
     static constexpr bool
     fitsInline()
@@ -50,7 +49,7 @@ class EventClosure
             std::is_nothrow_move_constructible_v<D>;
     }
 
-    /** True when @p F is stored inline and relocates by a byte copy. */
+    /** True when @p F is held and relocates by a byte copy. */
     template <typename F>
     static constexpr bool
     relocatesByMemcpy()
@@ -63,23 +62,15 @@ class EventClosure
 
     template <typename F>
         requires(!std::is_same_v<std::decay_t<F>, EventClosure> &&
-                 std::is_invocable_r_v<void, std::decay_t<F> &>)
+                 std::is_invocable_r_v<void, std::decay_t<F> &> &&
+                 fitsInline<F>())
     EventClosure(F &&f)
     {
         using D = std::decay_t<F>;
-        if constexpr (fitsInline<F>()) {
-            // Placement-construct into the inline buffer: no ownership
-            // is created here, so the raw-new lint rule does not apply.
-            ::new (bufPtr()) D(std::forward<F>(f)); // dagger-lint: allow(no-raw-new-in-sim)
-            _ops = &kInlineOps<D>;
-        } else {
-            // Oversized closure: one owned heap copy, released by
-            // destroyHeap<D>.  make_unique keeps the allocation paired
-            // with a deleter even if D's move constructor throws.
-            *static_cast<D **>(bufPtr()) =
-                std::make_unique<D>(std::forward<F>(f)).release();
-            _ops = &kHeapOps<D>;
-        }
+        // Placement-construct into the inline buffer: no ownership is
+        // created here, so the raw-new lint rule does not apply.
+        ::new (bufPtr()) D(std::forward<F>(f)); // dagger-lint: allow(no-raw-new-in-sim)
+        _ops = &kOps<D>;
     }
 
     EventClosure(EventClosure &&other) noexcept { moveFrom(other); }
@@ -102,9 +93,6 @@ class EventClosure
     /** True when a callable is held. */
     explicit operator bool() const noexcept { return _ops != nullptr; }
 
-    /** True when the held callable lives in the inline buffer. */
-    bool inlineStored() const noexcept { return _ops && _ops->inline_stored; }
-
     /** Invoke the callable (undefined when empty; the queue asserts). */
     void operator()() const { _ops->invoke(bufPtr()); }
 
@@ -115,37 +103,36 @@ class EventClosure
         /** Move-construct dst's storage from src's, destroying src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *storage) noexcept;
-        bool inline_stored;
-        /** Relocation is a plain byte copy (trivially copyable inline
-         *  callable, or the heap path's owning pointer).  The hot path
-         *  tests this flag and inlines a fixed-size memcpy instead of
-         *  dispatching through `relocate` — moving an event is then a
-         *  branch plus a few vector stores, no indirect call. */
+        /** Relocation is a plain byte copy (trivially copyable
+         *  callable).  The hot path tests this flag and inlines a
+         *  fixed-size memcpy instead of dispatching through `relocate`
+         *  — moving an event is then a branch plus a few vector
+         *  stores, no indirect call. */
         bool trivial_relocate;
-        /** Destruction is a no-op (trivially destructible inline
-         *  callable); lets `reset` skip the indirect `destroy` call. */
+        /** Destruction is a no-op (trivially destructible callable);
+         *  lets `reset` skip the indirect `destroy` call. */
         bool trivial_destroy;
     };
 
     template <typename D>
     static D *
-    inlineObj(void *storage) noexcept
+    objAs(void *storage) noexcept
     {
         return std::launder(static_cast<D *>(storage));
     }
 
     template <typename D>
     static void
-    invokeInline(void *storage)
+    invokeAs(void *storage)
     {
-        (*inlineObj<D>(storage))();
+        (*objAs<D>(storage))();
     }
 
     template <typename D>
     static void
-    relocateInline(void *dst, void *src) noexcept
+    relocateAs(void *dst, void *src) noexcept
     {
-        D *obj = inlineObj<D>(src);
+        D *obj = objAs<D>(src);
         // Relocation within pre-sized buffers; no allocation.
         ::new (dst) D(std::move(*obj)); // dagger-lint: allow(no-raw-new-in-sim)
         obj->~D();
@@ -153,45 +140,19 @@ class EventClosure
 
     template <typename D>
     static void
-    destroyInline(void *storage) noexcept
+    destroyAs(void *storage) noexcept
     {
-        inlineObj<D>(storage)->~D();
-    }
-
-    template <typename D>
-    static void
-    invokeHeap(void *storage)
-    {
-        (**static_cast<D **>(storage))();
-    }
-
-    static void
-    relocateHeap(void *dst, void *src) noexcept
-    {
-        *static_cast<void **>(dst) = *static_cast<void **>(src);
-    }
-
-    template <typename D>
-    static void
-    destroyHeap(void *storage) noexcept
-    {
-        delete *static_cast<D **>(storage);
+        objAs<D>(storage)->~D();
     }
 
     // Trivially copyable callables (a captured `this` plus value
     // arguments — essentially every hot-path event) relocate by memcpy
-    // and destroy as a no-op.  The heap path's storage is one owning
-    // pointer, so relocation is also a byte copy there, but destroy
-    // must still run to free the callable.
+    // and destroy as a no-op.
     template <typename D>
-    static constexpr Ops kInlineOps{&invokeInline<D>, &relocateInline<D>,
-                                    &destroyInline<D>, true,
-                                    std::is_trivially_copyable_v<D>,
-                                    std::is_trivially_destructible_v<D>};
-
-    template <typename D>
-    static constexpr Ops kHeapOps{&invokeHeap<D>, &relocateHeap,
-                                  &destroyHeap<D>, false, true, false};
+    static constexpr Ops kOps{&invokeAs<D>, &relocateAs<D>,
+                              &destroyAs<D>,
+                              std::is_trivially_copyable_v<D>,
+                              std::is_trivially_destructible_v<D>};
 
     void *bufPtr() const noexcept { return _storage; }
 

@@ -64,8 +64,6 @@ EventQueue::scheduleAt(Tick when, EventFn &&fn, Priority prio)
     dagger_assert(when >= _now,
                   "scheduleAt in the past: when=", when, " now=", _now);
     dagger_assert(fn, "scheduleAt with empty callback");
-    if (!fn.inlineStored())
-        ++_stats.heapClosures;
     // A current-frame admission lands in a near-random bucket of the
     // wheel; start that header's line fill while the pool allocation
     // below proceeds.

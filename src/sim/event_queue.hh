@@ -95,10 +95,8 @@ class EventQueue
     /** Events carved per pool block. */
     static constexpr std::size_t kPoolBlockEvents = 512;
 
-    /**
-     * Allocator / scheduler counters.  All but heapClosures are
-     * exported as sim.events.* gauges.
-     */
+    /** Allocator / scheduler counters, exported as sim.events.*
+     *  gauges. */
     struct EngineStats
     {
         std::uint64_t poolHits = 0;    ///< events served from the free list
@@ -108,10 +106,6 @@ class EventQueue
         std::uint64_t frameAdmits = 0; ///< events parked in a future frame
         std::uint64_t heapAdmits = 0;  ///< events admitted to the far heap
         std::uint64_t maxPending = 0;  ///< high-water mark of pending()
-        /** Events whose closure outgrew EventClosure's inline buffer
-         *  (one heap allocation each).  Not a registry gauge: every
-         *  registry entry is part of the simulated-results digests. */
-        std::uint64_t heapClosures = 0;
     };
 
     EventQueue() : _buckets(kWheelBuckets), _frames(kFrames) {}

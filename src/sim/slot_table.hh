@@ -2,11 +2,11 @@
  * @file
  * Slot table: parks move-only values behind small integer handles.
  *
- * A scheduled closure must fit EventClosure's 48 B inline buffer to
- * stay off the allocator.  Closures that would otherwise capture a
- * whole message or a nested EventClosure instead park that value here
- * and capture only the slot number; the event takes it back when it
- * fires.  Use it where completions can fire out of order (a FIFO side
+ * A scheduled closure must fit EventClosure's 48 B inline buffer, or
+ * it does not compile.  Closures that would otherwise capture a whole
+ * message, packet or payload, or a nested EventClosure, instead park
+ * that value here and capture only the slot number; the event takes it
+ * back when it fires.  Use it where completions can fire out of order (a FIFO side
  * queue is enough where one hardware thread serialises the events).
  *
  * Values only ever move in and out: parking never copies, so handle

@@ -222,8 +222,6 @@ FlightApp::installHandlers()
                             _passport->serverThread().resume();
                     });
             };
-            static_assert(
-                sim::EventClosure::fitsInline<decltype(do_lookup)>());
             if (simple) {
                 out.cost = _cfg.passportCost;
                 do_lookup();
@@ -301,8 +299,6 @@ FlightApp::installHandlers()
                 _toBaggage->callPodStatus(kProcess, fwd, on_part);
                 _toPassport->callPodStatus(kProcess, fwd, on_part);
             };
-            static_assert(
-                sim::EventClosure::fitsInline<decltype(do_fanout)>());
             if (simple) {
                 out.cost = _cfg.checkinCost;
                 do_fanout();
@@ -349,9 +345,6 @@ FlightApp::issueRegistration()
         issuePassenger(eq.now());
         issueRegistration();
     };
-    // The open-loop load generator self-schedules once per request;
-    // keep it on EventClosure's allocation-free inline path.
-    static_assert(sim::EventClosure::fitsInline<decltype(fire)>());
     eq.schedule(sim::usToTicks(_rng.exponential(mean_gap_us)),
                 std::move(fire));
 }

@@ -225,9 +225,6 @@ SocialNet::issueRequest()
             readTimeline(t0);
         issueRequest();
     };
-    // The open-loop load generator self-schedules once per request;
-    // keep it on EventClosure's allocation-free inline path.
-    static_assert(sim::EventClosure::fitsInline<decltype(fire)>());
     _eq.schedule(sim::usToTicks(_rng.exponential(mean_gap_us)),
                  std::move(fire));
 }

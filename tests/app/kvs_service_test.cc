@@ -102,11 +102,12 @@ TEST(KvsOverDagger, ObjectLevelLbPreservesErewOnMica)
     KvsRig rig(backend, 4, nic::LbScheme::ObjectLevel);
 
     KvWorkload wl(200, 0.6, 0.0, kTiny); // all SETs
+    std::vector<KvOp> ops;
     int done = 0;
     for (int i = 0; i < 100; ++i) {
-        KvOp op = wl.next();
-        rig.sys.eq().scheduleAt(usToTicks(i), [&rig, &done, op] {
-            rig.kvs->set(op.key, op.value, [&done](bool) { ++done; });
+        ops.push_back(wl.next());
+        rig.sys.eq().scheduleAt(usToTicks(i), [&, i] {
+            rig.kvs->set(ops[i].key, ops[i].value, [&done](bool) { ++done; });
         });
     }
     rig.sys.eq().runFor(usToTicks(400));
@@ -122,11 +123,12 @@ TEST(KvsOverDagger, RoundRobinLbViolatesErewOnMica)
     KvsRig rig(backend, 4, nic::LbScheme::RoundRobin);
 
     KvWorkload wl(200, 0.6, 0.0, kTiny);
+    std::vector<KvOp> ops;
     int done = 0;
     for (int i = 0; i < 100; ++i) {
-        KvOp op = wl.next();
-        rig.sys.eq().scheduleAt(usToTicks(i), [&rig, &done, op] {
-            rig.kvs->set(op.key, op.value, [&done](bool) { ++done; });
+        ops.push_back(wl.next());
+        rig.sys.eq().scheduleAt(usToTicks(i), [&, i] {
+            rig.kvs->set(ops[i].key, ops[i].value, [&done](bool) { ++done; });
         });
     }
     rig.sys.eq().runFor(usToTicks(400));
@@ -153,8 +155,8 @@ TEST(KvsOverDagger, MemcachedBackendIntegrity)
     int stored = 0;
     for (int i = 0; i < 50; ++i) {
         ops.push_back(wl.next());
-        const KvOp &op = ops.back();
-        rig_ptr->sys.eq().scheduleAt(usToTicks(i * 4), [&, op] {
+        rig_ptr->sys.eq().scheduleAt(usToTicks(i * 4), [&, i] {
+            const KvOp &op = ops[i];
             rig_ptr->kvs->set(op.key, op.value,
                               [&stored](bool) { ++stored; });
         });

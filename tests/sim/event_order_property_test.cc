@@ -20,6 +20,7 @@
 #include <functional>
 #include <queue>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -422,20 +423,18 @@ TEST(EventOrderProperty, SteadyStateSchedulingIsAllocationFree)
     EXPECT_EQ(after.poolHits, warm.poolHits + 5u * kBatch);
     EXPECT_EQ(count, 6u * kBatch);
 
-    // And the closures themselves stay in EventClosure's inline buffer.
+    // And the closures themselves never allocate: EventClosure holds
+    // a callable inline or does not compile.
     auto small = [&count] { ++count; };
-    static_assert(dagger::sim::EventClosure::fitsInline<decltype(small)>());
-    dagger::sim::EventClosure held(std::move(small));
-    EXPECT_TRUE(held.inlineStored());
+    static_assert(
+        std::is_constructible_v<dagger::sim::EventClosure, decltype(small)>);
 
     struct Fat
     {
-        std::uint8_t bytes[EventQueue::kPoolBlockEvents];
+        std::uint8_t bytes[dagger::sim::EventClosure::kInlineBytes + 1];
         void operator()() const {}
     };
-    static_assert(!dagger::sim::EventClosure::fitsInline<Fat>());
-    dagger::sim::EventClosure big{Fat{}};
-    EXPECT_FALSE(big.inlineStored());
+    static_assert(!std::is_constructible_v<dagger::sim::EventClosure, Fat>);
 }
 
 } // namespace
