@@ -6,6 +6,35 @@
 
 namespace dagger::app {
 
+namespace {
+
+/** The GET request for @p key, shared by get() and getChecked(). */
+KvGetRequest
+getRequest(std::string_view key)
+{
+    dagger_assert(key.size() <= kKvMaxKey, "key too long");
+    KvGetRequest req{};
+    req.keyLen = static_cast<std::uint8_t>(key.size());
+    std::memcpy(req.key, key.data(), key.size());
+    return req;
+}
+
+/** The SET request for @p key, @p value; see getRequest(). */
+KvSetRequest
+setRequest(std::string_view key, std::string_view value)
+{
+    dagger_assert(key.size() <= kKvMaxKey, "key too long");
+    dagger_assert(value.size() <= kKvMaxVal, "value too long");
+    KvSetRequest req{};
+    req.keyLen = static_cast<std::uint8_t>(key.size());
+    req.valLen = static_cast<std::uint8_t>(value.size());
+    std::memcpy(req.key, key.data(), key.size());
+    std::memcpy(req.value, value.data(), value.size());
+    return req;
+}
+
+} // namespace
+
 KvsServer::KvsServer(rpc::RpcThreadedServer &server, KvBackend &backend)
     : _backend(backend)
 {
@@ -67,11 +96,7 @@ KvsServer::attachThread(rpc::RpcServerThread &thread, unsigned partition)
 void
 KvsClient::get(std::string_view key, GetCb cb)
 {
-    dagger_assert(key.size() <= kKvMaxKey, "key too long");
-    KvGetRequest req{};
-    req.keyLen = static_cast<std::uint8_t>(key.size());
-    std::memcpy(req.key, key.data(), key.size());
-
+    const KvGetRequest req = getRequest(key);
     rpc::RpcClient::ResponseCb raw;
     if (cb) {
         raw = [cb = std::move(cb)](const proto::RpcMessage &m) {
@@ -88,14 +113,7 @@ KvsClient::get(std::string_view key, GetCb cb)
 void
 KvsClient::set(std::string_view key, std::string_view value, SetCb cb)
 {
-    dagger_assert(key.size() <= kKvMaxKey, "key too long");
-    dagger_assert(value.size() <= kKvMaxVal, "value too long");
-    KvSetRequest req{};
-    req.keyLen = static_cast<std::uint8_t>(key.size());
-    req.valLen = static_cast<std::uint8_t>(value.size());
-    std::memcpy(req.key, key.data(), key.size());
-    std::memcpy(req.value, value.data(), value.size());
-
+    const KvSetRequest req = setRequest(key, value);
     rpc::RpcClient::ResponseCb raw;
     if (cb) {
         raw = [cb = std::move(cb)](const proto::RpcMessage &m) {
@@ -112,12 +130,8 @@ KvsClient::set(std::string_view key, std::string_view value, SetCb cb)
 void
 KvsClient::getChecked(std::string_view key, GetStatusCb cb)
 {
-    dagger_assert(key.size() <= kKvMaxKey, "key too long");
+    const KvGetRequest req = getRequest(key);
     dagger_assert(cb, "getChecked needs a continuation");
-    KvGetRequest req{};
-    req.keyLen = static_cast<std::uint8_t>(key.size());
-    std::memcpy(req.key, key.data(), key.size());
-
     _client.callPodStatus(
         static_cast<proto::FnId>(KvsFn::Get), req,
         [cb = std::move(cb)](rpc::CallStatus st,
@@ -136,15 +150,8 @@ void
 KvsClient::setChecked(std::string_view key, std::string_view value,
                       SetStatusCb cb)
 {
-    dagger_assert(key.size() <= kKvMaxKey, "key too long");
-    dagger_assert(value.size() <= kKvMaxVal, "value too long");
+    const KvSetRequest req = setRequest(key, value);
     dagger_assert(cb, "setChecked needs a continuation");
-    KvSetRequest req{};
-    req.keyLen = static_cast<std::uint8_t>(key.size());
-    req.valLen = static_cast<std::uint8_t>(value.size());
-    std::memcpy(req.key, key.data(), key.size());
-    std::memcpy(req.value, value.data(), value.size());
-
     _client.callPodStatus(
         static_cast<proto::FnId>(KvsFn::Set), req,
         [cb = std::move(cb)](rpc::CallStatus st,

@@ -61,10 +61,15 @@ RpcMessage::toFrames() const
 
 namespace {
 
-/// Burst vectors kept per thread, over all sizes: enough for the
-/// bursts a busy node has in flight, few enough (<= 0.1 MB) that peak
-/// RSS does not move.
-constexpr std::size_t kBurstCacheDepth = 64;
+/// Burst vectors kept per thread and size: enough for the bursts a
+/// busy node has in flight.
+constexpr std::size_t kBurstsPerSize = 32;
+
+/// Frames of storage kept per thread, over all sizes: few enough
+/// (80 KB) that peak RSS does not move.  The bound counts frames, not
+/// vectors, so an earlier rig's many one-frame bursts cannot fill the
+/// cache and refuse a later rig's 4-frame ones.
+constexpr std::size_t kBurstCacheFrames = 1024;
 
 /// Set once this thread's cache is destroyed: a frame vector released
 /// by a static destructor after that is simply freed.
@@ -80,7 +85,7 @@ struct BurstCache
 {
     /// bySize[c - 1]: vectors of capacity exactly c
     std::array<std::vector<std::vector<Frame>>, kBurstFrames> bySize;
-    std::size_t count = 0;
+    std::size_t frames = 0; ///< capacity held, over all sizes
 
     ~BurstCache() { tBurstCacheGone = true; }
 };
@@ -104,7 +109,7 @@ takeBurst(std::size_t n)
         if (!free.empty()) {
             frames = std::move(free.back());
             free.pop_back();
-            --cache.count;
+            cache.frames -= n;
             return frames;
         }
     }
@@ -120,14 +125,14 @@ recycleBurst(std::vector<Frame> &&frames)
         return;
     BurstCache &cache = burstCache();
     auto &free = cache.bySize[cap - 1];
-    // Half the cache at most per size, so a draining ring of full
-    // bursts cannot crowd out the small batches in flight beside it.
-    if (cache.count >= kBurstCacheDepth ||
-        free.size() >= kBurstCacheDepth / 2)
+    // A per-size cap too, so a draining ring of full bursts cannot
+    // crowd out the small batches in flight beside it.
+    if (free.size() >= kBurstsPerSize ||
+        cache.frames + cap > kBurstCacheFrames)
         return;
     frames.clear();
     free.push_back(std::move(frames));
-    ++cache.count;
+    cache.frames += cap;
 }
 
 namespace {

@@ -23,6 +23,17 @@ RpcClient::executeWithMessage(sim::Tick cost, proto::RpcMessage &&msg,
     _thread.execute(cost, std::move(run));
 }
 
+sim::Tick
+RpcClient::sendCost() const
+{
+    const DaggerSystem &sys = _node.system();
+    sim::Tick cost = sys.sendCpuCost(_node) +
+                     _node.nicDev().cciPort().hostPollPenalty();
+    if (_shared)
+        cost += sys.swCost().srqLockCost;
+    return cost;
+}
+
 void
 RpcClient::sendUntracked(const proto::RpcMessage &msg)
 {
@@ -86,9 +97,10 @@ RpcClient::callAsyncStatus(proto::FnId fn, const void *data, std::size_t len,
 
 void
 RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
-                     std::size_t len, ResponseCb cb, StatusCb scb)
+                     std::size_t len, ResponseCb cb, StatusCb scb,
+                     bool one_way)
 {
-    dagger_assert(conn != 0, "callAsync without a connection");
+    dagger_assert(conn != 0, "call without a connection");
     if (len > proto::kMaxPayloadBytes) {
         // Recoverable API error: the wire format cannot carry this
         // payload (payloadLen is 16-bit), so the call is refused
@@ -100,18 +112,12 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
         }
         return;
     }
-    DaggerSystem &sys = _node.system();
-    sim::Tick cost = sys.sendCpuCost(_node) +
-                     _node.nicDev().cciPort().hostPollPenalty();
-    if (_shared)
-        cost += sys.swCost().srqLockCost;
-
     const proto::RpcId rpc_id = _nextRpcId++;
     proto::PayloadBuf payload(data, len);
-    if (_bestEffort) {
+    if (one_way || _bestEffort) {
         // Fire and forget: no pending entry, no completion tracking.
         executeWithMessage(
-            cost,
+            sendCost(),
             proto::RpcMessage(conn, rpc_id, fn, proto::MsgType::Request,
                               std::move(payload)),
             [this](proto::RpcMessage &msg) { sendUntracked(msg); });
@@ -129,26 +135,38 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
         entry.payload = payload;
     }
     _pending.emplace(rpc_id, std::move(entry));
+    sendTracked(proto::RpcMessage(conn, rpc_id, fn, proto::MsgType::Request,
+                                  std::move(payload)),
+                true);
+}
 
+void
+RpcClient::sendTracked(proto::RpcMessage &&msg, bool first)
+{
+    const proto::RpcId rpc_id = msg.rpcId();
     const sim::Tick issued_at = _node.eq().now();
-    auto send = [this, rpc_id, issued_at](proto::RpcMessage &msg) {
+    auto send = [this, rpc_id, first, issued_at](proto::RpcMessage &msg) {
         auto it = _pending.find(rpc_id);
         if (it == _pending.end())
-            return; // cancelled
+            return; // resolved while the send was queued
         if (!_node.flow(_flow).tx.push(msg)) {
             ++_sendFailures;
-            if (_retry.enabled()) {
-                // Full ring on the first copy: keep the entry and let
-                // a short re-attempt timer carry it instead of
-                // dropping the call on the floor.
-                ++_resendDrops;
-                ++_node.system().reliability().resendDrops;
-                armResendRetry(rpc_id);
+            if (first && !_retry.enabled()) {
+                _pending.erase(it); // no policy would ever resend it
                 return;
             }
-            _pending.erase(it);
+            // Keep the entry and re-attempt on a short timer rather
+            // than wait out a backoff with nothing in flight; count it
+            // so a full-ring storm is visible.
+            ++_resendDrops;
+            ++_node.system().reliability().resendDrops;
+            armResendRetry(rpc_id);
             return;
         }
+        if (it->second.sentAt != 0)
+            return; // a resend; the first copy already started the clock
+        // First copy to reach the ring: start the round-trip clock and
+        // the timeout.
         const sim::Tick now = _node.eq().now();
         it->second.sentAt = now;
         ++_sent;
@@ -157,18 +175,14 @@ RpcClient::issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
             // TX ring: arming at issue time raced the send lambda
             // under CPU backlog, so the timer could fire — and
             // retransmit — before the first copy was ever sent.
-            if (now - issued_at >= _retry.timeout) {
+            if (first && now - issued_at >= _retry.timeout) {
                 ++_spuriousArms;
                 ++_node.system().reliability().spuriousArms;
             }
             armCallTimer(rpc_id, _retry.timeout);
         }
     };
-    executeWithMessage(cost,
-                       proto::RpcMessage(conn, rpc_id, fn,
-                                         proto::MsgType::Request,
-                                         std::move(payload)),
-                       send);
+    executeWithMessage(sendCost(), std::move(msg), send);
 }
 
 sim::Tick
@@ -231,38 +245,10 @@ RpcClient::resend(proto::RpcId rpc_id)
     auto it = _pending.find(rpc_id);
     if (it == _pending.end())
         return; // resolved meanwhile
-    Pending &p = it->second;
-    proto::RpcMessage msg(p.conn, rpc_id, p.fn, proto::MsgType::Request,
-                          p.payload);
-    DaggerSystem &sys = _node.system();
-    sim::Tick cost = sys.sendCpuCost(_node) +
-                     _node.nicDev().cciPort().hostPollPenalty();
-    if (_shared)
-        cost += sys.swCost().srqLockCost;
-    auto send = [this, rpc_id](proto::RpcMessage &msg) {
-        auto it = _pending.find(rpc_id);
-        if (it == _pending.end())
-            return; // resolved while the resend was queued
-        if (!_node.flow(_flow).tx.push(msg)) {
-            // A full backoff used to elapse here with nothing in
-            // flight; re-attempt on a short timer instead, and make
-            // the storm visible.
-            ++_sendFailures;
-            ++_resendDrops;
-            ++_node.system().reliability().resendDrops;
-            armResendRetry(rpc_id);
-            return;
-        }
-        if (it->second.sentAt == 0) {
-            // First copy to reach the ring (the issue-time send was
-            // dropped): start the round-trip clock and the timeout.
-            it->second.sentAt = _node.eq().now();
-            ++_sent;
-            if (_retry.enabled())
-                armCallTimer(rpc_id, _retry.timeout);
-        }
-    };
-    executeWithMessage(cost, std::move(msg), send);
+    const Pending &p = it->second;
+    sendTracked(proto::RpcMessage(p.conn, rpc_id, p.fn,
+                                  proto::MsgType::Request, p.payload),
+                false);
 }
 
 void
@@ -289,20 +275,7 @@ RpcClient::armResendRetry(proto::RpcId rpc_id)
 void
 RpcClient::callOneWay(proto::FnId fn, const void *data, std::size_t len)
 {
-    dagger_assert(_conn != 0, "callOneWay without a connection");
-    if (len > proto::kMaxPayloadBytes) {
-        ++_sendFailures; // recoverable: refused before any work
-        return;
-    }
-    DaggerSystem &sys = _node.system();
-    sim::Tick cost = sys.sendCpuCost(_node) +
-                     _node.nicDev().cciPort().hostPollPenalty();
-    if (_shared)
-        cost += sys.swCost().srqLockCost;
-    executeWithMessage(cost,
-                       proto::RpcMessage(_conn, _nextRpcId++, fn,
-                                         proto::MsgType::Request, data, len),
-                       [this](proto::RpcMessage &msg) { sendUntracked(msg); });
+    issueCall(_conn, fn, data, len, {}, {}, true);
 }
 
 void
@@ -345,37 +318,10 @@ RpcClient::processResponses()
                 scb(CallStatus::Ok, msg);
             else if (cb)
                 cb(msg);
-            else
-                _cq.push(std::move(msg));
         }
         processResponses();
     };
     executeWithMessage(costs.completionCost, std::move(msg), complete);
-}
-
-RpcClient &
-RpcClientPool::addClient(unsigned flow, HwThread &thread)
-{
-    _clients.push_back(std::make_unique<RpcClient>(_node, flow, thread));
-    return *_clients.back();
-}
-
-sim::Histogram
-RpcClientPool::aggregateLatency() const
-{
-    sim::Histogram h("pool_rtt");
-    for (const auto &c : _clients)
-        h.merge(c->_latency);
-    return h;
-}
-
-std::uint64_t
-RpcClientPool::totalResponses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &c : _clients)
-        n += c->_responses;
-    return n;
 }
 
 } // namespace dagger::rpc

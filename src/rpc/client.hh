@@ -1,13 +1,13 @@
 /**
  * @file
- * RpcClient / RpcClientPool: the client half of the Dagger API (§4.2).
+ * RpcClient: the client half of the Dagger API (§4.2).
  *
  * Each RpcClient is 1-to-1 mapped to a NIC flow and its RX/TX ring
- * pair (Fig. 7).  Calls are asynchronous: the continuation (or the
- * CompletionQueue) receives the response on the client's hardware
- * thread.  Several connections may share one client's rings — the
- * Shared Receive Queue model — in which case an explicit lock cost is
- * charged on the TX path.
+ * pair (Fig. 7); a pool of clients is a vector of them, one per flow.
+ * Calls are asynchronous: the continuation receives the response on
+ * the client's hardware thread.  Several connections may share one
+ * client's rings — the Shared Receive Queue model — in which case an
+ * explicit lock cost is charged on the TX path.
  */
 
 #ifndef DAGGER_RPC_CLIENT_HH
@@ -17,10 +17,8 @@
 #include <functional>
 #include <set>
 #include <unordered_map>
-#include <vector>
 
 #include "proto/wire.hh"
-#include "rpc/completion_queue.hh"
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
 #include "sim/ring_queue.hh"
@@ -77,8 +75,8 @@ class RpcClient
     /**
      * Issue a non-blocking call on the default connection.
      * The continuation runs on this client's hardware thread when the
-     * response arrives; with no continuation the response lands in
-     * the CompletionQueue.
+     * response arrives; with no continuation the response is counted
+     * (responses(), latency()) and released.
      */
     void
     callAsync(proto::FnId fn, const void *data, std::size_t len,
@@ -145,8 +143,6 @@ class RpcClient
      */
     void setBestEffort(bool on);
 
-    CompletionQueue &completions() { return _cq; }
-
     std::uint64_t sent() const { return _sent; }
     std::uint64_t responses() const { return _responses; }
     std::uint64_t sendFailures() const { return _sendFailures; }
@@ -175,8 +171,6 @@ class RpcClient
     unsigned flow() const { return _flow; }
 
   private:
-    friend class RpcClientPool;
-
     void installRxNotify();
     void processResponses();
     /**
@@ -185,10 +179,23 @@ class RpcClient
      */
     template <typename Fn>
     void executeWithMessage(sim::Tick cost, proto::RpcMessage &&msg, Fn fn);
+    /** CPU cost of one send: stub, interconnect poll, SRQ lock. */
+    sim::Tick sendCost() const;
     /** Push @p msg with no completion tracking (best-effort, one-way). */
     void sendUntracked(const proto::RpcMessage &msg);
+    /**
+     * Size-check @p len, allocate an rpc id and send.  One-way calls
+     * and best-effort mode take the untracked path; any other call
+     * gets a pending entry.
+     */
     void issueCall(proto::ConnId conn, proto::FnId fn, const void *data,
-                   std::size_t len, ResponseCb cb, StatusCb scb);
+                   std::size_t len, ResponseCb cb, StatusCb scb,
+                   bool one_way = false);
+    /**
+     * Charge the send cost, then push a copy of a tracked call.
+     * @p first marks the issue-time copy; resends pass false.
+     */
+    void sendTracked(proto::RpcMessage &&msg, bool first);
     void armCallTimer(proto::RpcId rpc_id, sim::Tick timeout);
     void onCallTimeout(proto::RpcId rpc_id);
     void resend(proto::RpcId rpc_id);
@@ -233,7 +240,6 @@ class RpcClient
     /** Messages of scheduled _thread events, in execute() order. */
     sim::RingQueue<proto::RpcMessage> _threadMsgs;
 
-    CompletionQueue _cq;
     sim::Histogram _latency{"rpc_rtt"};
     std::uint64_t _sent = 0;
     std::uint64_t _responses = 0;
@@ -244,34 +250,6 @@ class RpcClient
     std::uint64_t _lateResponses = 0;
     std::uint64_t _spuriousArms = 0;
     std::uint64_t _resendDrops = 0;
-};
-
-/**
- * RpcClientPool: "encapsulates a pool of RPC clients (RpcClient) that
- * concurrently call remote procedures registered in the corresponding
- * RpcThreadedServer" (§4.2).
- */
-class RpcClientPool
-{
-  public:
-    explicit RpcClientPool(DaggerNode &node) : _node(node) {}
-
-    /** Create a client on @p flow bound to @p thread. */
-    RpcClient &addClient(unsigned flow, HwThread &thread);
-
-    RpcClient &client(std::size_t i) { return *_clients.at(i); }
-    std::size_t size() const { return _clients.size(); }
-    DaggerNode &node() { return _node; }
-
-    /** Aggregate RTT histogram across the pool's clients. */
-    sim::Histogram aggregateLatency() const;
-
-    /** Aggregate completed-response count. */
-    std::uint64_t totalResponses() const;
-
-  private:
-    DaggerNode &_node;
-    std::vector<std::unique_ptr<RpcClient>> _clients;
 };
 
 } // namespace dagger::rpc

@@ -28,8 +28,8 @@ struct SwCost
 
     /**
      * Client-side completion handling per response: pop the RX ring,
-     * match the pending request, fire the continuation (§4.2
-     * CompletionQueue).
+     * match the pending request, fire the continuation if the call
+     * has one (§4.2).
      */
     sim::Tick completionCost = sim::nsToTicks(18);
 

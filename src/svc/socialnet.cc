@@ -71,7 +71,6 @@ SocialNet::build()
             std::make_unique<SoftRpcNode>(_eq, _cfg.stack, app, net);
         _tiers[t]->setColocationSlowdown(_cfg.colocationSlowdown);
         _reqSize[t] = sim::Histogram(snTierName(t));
-        _respSize[t] = sim::Histogram(snTierName(t));
     }
     rpc::HwThread &fe_app = _cpus->core(6).thread(0);
     _frontend = std::make_unique<SoftRpcNode>(
@@ -84,7 +83,6 @@ SocialNet::build()
         return [this, t, tier_cost](const Payload &,
                                     SoftRpcNode::Responder respond) {
             Payload resp(sampleRespSize(t));
-            _respSize[t].record(resp.size());
             _allResp.record(resp.size());
             respond(std::move(resp), tier_cost(t));
         };
@@ -104,7 +102,6 @@ SocialNet::build()
             if (--*remaining > 0)
                 return;
             Payload resp(sampleRespSize(3));
-            _respSize[3].record(resp.size());
             _allResp.record(resp.size());
             (*resp_holder)(std::move(resp), tier_cost(3));
         };

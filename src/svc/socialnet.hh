@@ -133,14 +133,10 @@ class SocialNet
     /** Per-tier served breakdown (transport / rpc / app / total). */
     const baseline::ServeBreakdown &tierBreakdown(unsigned tier) const;
 
-    /** Per-tier request/response wire sizes (bytes). */
+    /** Per-tier request wire sizes (bytes). */
     const sim::Histogram &requestSize(unsigned tier) const
     {
         return _reqSize[tier];
-    }
-    const sim::Histogram &responseSize(unsigned tier) const
-    {
-        return _respSize[tier];
     }
 
     /** Aggregate size histograms across all RPCs (Fig. 4 left). */
@@ -179,7 +175,6 @@ class SocialNet
     std::unique_ptr<baseline::SoftRpcNode> _frontend;
 
     std::array<sim::Histogram, kSnTiers> _reqSize;
-    std::array<sim::Histogram, kSnTiers> _respSize;
     sim::Histogram _allReq{"all_req_bytes"};
     sim::Histogram _allResp{"all_resp_bytes"};
     sim::Histogram _e2e{"socialnet_e2e"};

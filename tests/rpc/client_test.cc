@@ -1,12 +1,14 @@
 /**
  * @file
- * RpcClientPool tests: per-flow client provisioning, concurrent calls
- * from a pool, aggregate statistics (§4.2: "The RpcClientPool
- * encapsulates a pool of RPC clients that concurrently call remote
- * procedures registered in the corresponding RpcThreadedServer").
+ * RpcClient tests: one client per NIC flow calling concurrently into
+ * an RpcThreadedServer (§4.2), completion accounting, best-effort
+ * mode and the timeout/retry policy.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "net/fault_injector.hh"
 #include "rpc/client.hh"
@@ -19,11 +21,11 @@ using namespace dagger;
 using namespace dagger::rpc;
 using sim::usToTicks;
 
-struct PoolRig
+struct FlowsRig
 {
     static constexpr unsigned kFlows = 4;
 
-    PoolRig() : sys(ic::IfaceKind::Upi), cpus(sys.eq(), kFlows + 2)
+    FlowsRig() : sys(ic::IfaceKind::Upi), cpus(sys.eq(), kFlows + 2)
     {
         nic::NicConfig cfg;
         cfg.numFlows = kFlows;
@@ -40,79 +42,84 @@ struct PoolRig
             return out;
         });
 
-        pool = std::make_unique<RpcClientPool>(*cnode);
         for (unsigned f = 0; f < kFlows; ++f) {
-            auto &cli = pool->addClient(f, cpus.core(0).thread(f % 2));
+            auto &cli = *clients.emplace_back(std::make_unique<RpcClient>(
+                *cnode, f, cpus.core(0).thread(f % 2)));
             cli.setConnection(
                 sys.connect(*cnode, f, *snode, f, nic::LbScheme::Static));
         }
     }
+
+    RpcClient &client(unsigned f) { return *clients.at(f); }
 
     DaggerSystem sys;
     CpuSet cpus;
     DaggerNode *cnode;
     DaggerNode *snode;
     std::unique_ptr<RpcThreadedServer> server;
-    std::unique_ptr<RpcClientPool> pool;
+    std::vector<std::unique_ptr<RpcClient>> clients;
 };
 
-TEST(RpcClientPool, ProvisionsOneClientPerFlow)
+TEST(RpcClient, ConcurrentCallsAcrossFlowsAllComplete)
 {
-    PoolRig rig;
-    EXPECT_EQ(rig.pool->size(), PoolRig::kFlows);
-    for (unsigned f = 0; f < PoolRig::kFlows; ++f)
-        EXPECT_EQ(rig.pool->client(f).flow(), f);
-    EXPECT_EQ(&rig.pool->node(), rig.cnode);
-}
-
-TEST(RpcClientPool, ConcurrentCallsAcrossFlowsAllComplete)
-{
-    PoolRig rig;
+    FlowsRig rig;
     std::uint64_t done = 0;
     for (int i = 0; i < 40; ++i) {
         std::uint64_t v = i;
-        rig.pool->client(i % PoolRig::kFlows)
+        rig.client(i % FlowsRig::kFlows)
             .callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
     }
     rig.sys.eq().runFor(usToTicks(300));
     EXPECT_EQ(done, 40u);
-    EXPECT_EQ(rig.pool->totalResponses(), 40u);
-    // Every server thread served its static flow.
-    for (unsigned f = 0; f < PoolRig::kFlows; ++f)
+    // Every client completed its share; every server thread served its
+    // static flow.
+    for (unsigned f = 0; f < FlowsRig::kFlows; ++f) {
+        EXPECT_EQ(rig.client(f).responses(), 10u);
         EXPECT_EQ(rig.server->serverThread(f).processed(), 10u);
+    }
 }
 
-TEST(RpcClientPool, AggregateLatencyMergesAllClients)
+// A call with no continuation still completes: it is counted once in
+// responses(), latency() and the system's completions, its pending
+// entry is reclaimed, and its response is released rather than kept.
+TEST(RpcClient, CallsWithoutCallbackCompleteExactlyOnce)
 {
-    PoolRig rig;
+    FlowsRig rig;
     for (int i = 0; i < 20; ++i) {
         std::uint64_t v = i;
-        rig.pool->client(i % PoolRig::kFlows).callPod(1, v);
+        rig.client(i % FlowsRig::kFlows).callPod(1, v);
     }
     rig.sys.eq().runFor(usToTicks(300));
-    sim::Histogram agg = rig.pool->aggregateLatency();
-    EXPECT_EQ(agg.count(), 20u);
-    std::uint64_t sum = 0;
-    for (unsigned f = 0; f < PoolRig::kFlows; ++f)
-        sum += rig.pool->client(f).latency().count();
-    EXPECT_EQ(sum, 20u);
-    // Aggregate median is a plausible RTT.
-    EXPECT_GT(agg.percentile(50), usToTicks(1.0));
-    EXPECT_LT(agg.percentile(50), usToTicks(10.0));
+    for (unsigned f = 0; f < FlowsRig::kFlows; ++f) {
+        RpcClient &cli = rig.client(f);
+        EXPECT_EQ(cli.sent(), 5u);
+        EXPECT_EQ(cli.responses(), 5u);
+        EXPECT_EQ(cli.latency().count(), 5u);
+        EXPECT_EQ(cli.pendingCalls(), 0u);
+        EXPECT_EQ(cli.orphanResponses(), 0u);
+        EXPECT_EQ(cli.lateResponses(), 0u);
+        // A plausible RTT, not a zero or a stale clock.
+        EXPECT_GT(cli.latency().percentile(50), usToTicks(1.0));
+        EXPECT_LT(cli.latency().percentile(50), usToTicks(10.0));
+    }
+    EXPECT_EQ(rig.sys.reliability().completions, 20u);
+    // Nothing completes a second time once the system is idle.
+    rig.sys.eq().runFor(usToTicks(300));
+    EXPECT_EQ(rig.sys.reliability().completions, 20u);
 }
 
-TEST(RpcClientPool, FlowsAreIndependentUnderImbalance)
+TEST(RpcClient, FlowsAreIndependentUnderImbalance)
 {
-    PoolRig rig;
+    FlowsRig rig;
     // Flood flow 0 only; flow 3 stays fast.
     std::uint64_t done0 = 0, done3 = 0;
     for (int i = 0; i < 200; ++i) {
         std::uint64_t v = i;
-        rig.pool->client(0).callPod(
+        rig.client(0).callPod(
             1, v, [&](const proto::RpcMessage &) { ++done0; });
     }
     std::uint64_t v3 = 7;
-    rig.pool->client(3).callPod(
+    rig.client(3).callPod(
         1, v3, [&](const proto::RpcMessage &) { ++done3; });
     rig.sys.eq().runFor(usToTicks(100));
     EXPECT_EQ(done3, 1u); // not stuck behind flow 0's backlog
@@ -126,8 +133,8 @@ TEST(RpcClientPool, FlowsAreIndependentUnderImbalance)
 // switching best-effort back off no response was ever processed again.
 TEST(RpcClient, BestEffortToggleRestoresResponseProcessing)
 {
-    PoolRig rig;
-    RpcClient &cli = rig.pool->client(0);
+    FlowsRig rig;
+    RpcClient &cli = rig.client(0);
 
     cli.setBestEffort(true);
     for (int i = 0; i < 5; ++i) {
@@ -159,12 +166,12 @@ TEST(RpcClient, BestEffortToggleRestoresResponseProcessing)
 
 TEST(RpcClient, RetryResendsLostRequestAndCompletesOk)
 {
-    PoolRig rig;
+    FlowsRig rig;
     net::FaultInjector fi(rig.sys.eq());
     fi.install(rig.sys.tor().attach(rig.snode->id()));
     fi.scriptDrop(1); // lose the first copy of the request
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(30);
     policy.maxRetries = 3;
@@ -196,13 +203,13 @@ TEST(RpcClient, RetryResendsLostRequestAndCompletesOk)
 
 TEST(RpcClient, RetryBudgetExhaustionSurfacesTimedOut)
 {
-    PoolRig rig;
+    FlowsRig rig;
     net::FaultSpec spec;
     spec.dropP = 1.0; // a dead link: nothing reaches the server
     net::FaultInjector fi(rig.sys.eq(), spec);
     fi.install(rig.sys.tor().attach(rig.snode->id()));
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(20);
     policy.maxRetries = 2;
@@ -226,12 +233,12 @@ TEST(RpcClient, RetryBudgetExhaustionSurfacesTimedOut)
 
 TEST(RpcClient, LateResponseAfterTimeoutIsAccountedNotOrphaned)
 {
-    PoolRig rig;
+    FlowsRig rig;
     net::FaultInjector fi(rig.sys.eq());
     fi.install(rig.sys.tor().attach(rig.cnode->id()));
     fi.scriptDelay(1, usToTicks(100)); // hold the response way too long
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(20);
     policy.maxRetries = 0; // no resends: time out on first expiry
@@ -256,13 +263,13 @@ TEST(RpcClient, LateResponseAfterTimeoutIsAccountedNotOrphaned)
 
 TEST(RpcClient, ExponentialBackoffStretchesRetryGaps)
 {
-    PoolRig rig;
+    FlowsRig rig;
     net::FaultSpec spec;
     spec.dropP = 1.0;
     net::FaultInjector fi(rig.sys.eq(), spec);
     fi.install(rig.sys.tor().attach(rig.snode->id()));
 
-    RpcClient &cli = rig.pool->client(0);
+    RpcClient &cli = rig.client(0);
     rpc::RetryPolicy policy;
     policy.timeout = usToTicks(10);
     policy.maxRetries = 3;

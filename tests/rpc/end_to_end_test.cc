@@ -175,20 +175,6 @@ TEST(EndToEnd, MultiFrameRpcRoundTrips)
     EXPECT_EQ(got, big);
 }
 
-TEST(EndToEnd, CompletionQueueCollectsWhenNoCallback)
-{
-    Rig rig;
-    std::uint64_t v = 99;
-    rig.client->callPod(kEcho, v);
-    rig.sys.eq().runFor(usToTicks(100));
-    EXPECT_EQ(rig.client->completions().size(), 1u);
-    proto::RpcMessage resp;
-    ASSERT_TRUE(rig.client->completions().pop(resp));
-    std::uint64_t out = 0;
-    ASSERT_TRUE(resp.payloadAs(out));
-    EXPECT_EQ(out, 99u);
-}
-
 TEST(EndToEnd, WorkerPoolModelStillCorrect)
 {
     Rig rig;

@@ -153,21 +153,6 @@ TEST(DaggerSystem, ReportContainsKeyCounters)
     EXPECT_NE(report.find("\"node0.nic.rpcs_out\": 5,"), std::string::npos);
 }
 
-TEST(DaggerSystem, CompletionContinuationFires)
-{
-    SysRig rig;
-    rig.client->setConnection(
-        rig.sys.connect(*rig.cnode, 0, *rig.snode, 0));
-    int via_continuation = 0;
-    rig.client->completions().setContinuation(
-        [&](const proto::RpcMessage &) { ++via_continuation; });
-    std::uint64_t v = 5;
-    rig.client->callPod(1, v); // no per-call callback
-    rig.sys.eq().runFor(usToTicks(100));
-    EXPECT_EQ(via_continuation, 1);
-    EXPECT_EQ(rig.client->completions().size(), 0u); // consumed
-}
-
 TEST(DaggerSystemDeath, DisconnectUnknownConnection)
 {
     SysRig rig;
