@@ -10,7 +10,6 @@
 #include "app/memcached.hh"
 #include "app/mica.hh"
 #include "mem/set_assoc_cache.hh"
-#include "nic/load_balancer.hh"
 #include "sim/event_queue.hh"
 
 namespace dagger::app {
@@ -26,34 +25,34 @@ class MicaBackend final : public KvBackend
     std::optional<std::string>
     kvGet(unsigned partition, std::string_view key, sim::Tick &cost) override
     {
-        cost = accessCost(key, /*is_get=*/true);
-        if (_store.partitionOf(key) != partition % _store.numPartitions())
-            cost += _cost.crossPartitionPenalty;
-        return _store.get(partition % _store.numPartitions(), key);
+        const std::uint64_t h = micaKeyHash(key);
+        const unsigned caller = partition % _store.numPartitions();
+        cost = accessCost(h, caller, /*is_get=*/true);
+        return _store.get(caller, key, h);
     }
 
     bool
     kvSet(unsigned partition, std::string_view key, std::string_view value,
           sim::Tick &cost) override
     {
-        cost = accessCost(key, /*is_get=*/false);
-        if (_store.partitionOf(key) != partition % _store.numPartitions())
-            cost += _cost.crossPartitionPenalty;
-        _store.set(partition % _store.numPartitions(), key, value);
+        const std::uint64_t h = micaKeyHash(key);
+        const unsigned caller = partition % _store.numPartitions();
+        cost = accessCost(h, caller, /*is_get=*/false);
+        _store.set(caller, key, h, value);
         return true;
     }
 
   private:
+    /** Cost of one access to the key hashing to @p h from @p caller. */
     sim::Tick
-    accessCost(std::string_view key, bool is_get)
+    accessCost(std::uint64_t h, unsigned caller, bool is_get)
     {
-        const std::uint64_t h = nic::ObjectLevelLb::hashKey(
-            reinterpret_cast<const std::uint8_t *>(key.data()),
-            key.size());
         const bool hot = _llc.access(h);
-        if (is_get)
-            return hot ? _cost.hotGetCost : _cost.coldGetCost;
-        return hot ? _cost.hotSetCost : _cost.coldSetCost;
+        sim::Tick cost = is_get ? (hot ? _cost.hotGetCost : _cost.coldGetCost)
+                                : (hot ? _cost.hotSetCost : _cost.coldSetCost);
+        if (_store.partitionOfHash(h) != caller)
+            cost += _cost.crossPartitionPenalty;
+        return cost;
     }
 
     MicaKvs &_store;

@@ -50,7 +50,7 @@ Memcached::itemFootprint(const Item &item) const
 }
 
 void
-Memcached::removeItem(std::unordered_map<std::string, Item>::iterator it)
+Memcached::removeItem(Table::iterator it)
 {
     _usedBytes -= itemFootprint(it->second);
     _lru.erase(it->second.lruIt);
@@ -74,7 +74,7 @@ Memcached::set(std::string_view key, std::string_view value, sim::Tick now,
                sim::Tick ttl_ticks)
 {
     ++_stats.cmdSet;
-    auto it = _table.find(std::string(key));
+    auto it = _table.find(key);
     if (it != _table.end())
         removeItem(it);
 
@@ -103,7 +103,7 @@ std::optional<std::string>
 Memcached::get(std::string_view key, sim::Tick now)
 {
     ++_stats.cmdGet;
-    auto it = _table.find(std::string(key));
+    auto it = _table.find(key);
     if (it == _table.end())
         return std::nullopt;
     Item &item = it->second;
@@ -123,7 +123,7 @@ Memcached::get(std::string_view key, sim::Tick now)
 bool
 Memcached::erase(std::string_view key)
 {
-    auto it = _table.find(std::string(key));
+    auto it = _table.find(key);
     if (it == _table.end())
         return false;
     removeItem(it);

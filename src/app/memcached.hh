@@ -14,6 +14,7 @@
 #define DAGGER_APP_MEMCACHED_HH
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <optional>
 #include <string>
@@ -78,13 +79,29 @@ class Memcached
         std::list<std::string>::iterator lruIt;
     };
 
+    /** Hashes a std::string and its std::string_view alike, so the
+     *  table is probed with the caller's view (heterogeneous lookup). */
+    struct KeyHash
+    {
+        using is_transparent = void;
+
+        std::size_t
+        operator()(std::string_view key) const noexcept
+        {
+            return std::hash<std::string_view>{}(key);
+        }
+    };
+
+    using Table =
+        std::unordered_map<std::string, Item, KeyHash, std::equal_to<>>;
+
     std::size_t itemFootprint(const Item &item) const;
     void evictForSpace(std::size_t need);
-    void removeItem(std::unordered_map<std::string, Item>::iterator it);
+    void removeItem(Table::iterator it);
 
     std::size_t _memoryLimit;
     std::size_t _usedBytes = 0;
-    std::unordered_map<std::string, Item> _table;
+    Table _table;
     /** LRU: front = most recent, back = eviction victim. */
     std::list<std::string> _lru;
     MemcachedStats _stats;

@@ -5,6 +5,13 @@
 
 namespace dagger::app {
 
+std::uint64_t
+micaKeyHash(std::string_view key)
+{
+    return nic::ObjectLevelLb::hashKey(
+        reinterpret_cast<const std::uint8_t *>(key.data()), key.size());
+}
+
 MicaPartition::MicaPartition(std::size_t log_bytes,
                              std::size_t index_buckets)
     : _log(std::make_unique_for_overwrite<std::uint8_t[]>(log_bytes)),
@@ -14,13 +21,6 @@ MicaPartition::MicaPartition(std::size_t log_bytes,
     dagger_assert(index_buckets > 0 &&
                   (index_buckets & (index_buckets - 1)) == 0,
                   "index buckets must be a power of two");
-}
-
-std::uint64_t
-MicaPartition::keyHash(std::string_view key) const
-{
-    return nic::ObjectLevelLb::hashKey(
-        reinterpret_cast<const std::uint8_t *>(key.data()), key.size());
 }
 
 MicaPartition::Bucket &
@@ -90,13 +90,13 @@ MicaPartition::readRecord(std::uint64_t offset, std::string_view key,
 }
 
 void
-MicaPartition::set(std::string_view key, std::string_view value)
+MicaPartition::set(std::string_view key, std::uint64_t hash,
+                   std::string_view value)
 {
     ++_stats.sets;
-    const std::uint64_t h = keyHash(key);
     const std::uint64_t off = appendRecord(key, value);
-    Bucket &b = bucketFor(h);
-    const std::uint16_t tag = tagOf(h);
+    Bucket &b = bucketFor(hash);
+    const std::uint16_t tag = tagOf(hash);
 
     // Overwrite a matching tag if present.
     for (IndexEntry &e : b.ways) {
@@ -119,12 +119,11 @@ MicaPartition::set(std::string_view key, std::string_view value)
 }
 
 std::optional<std::string>
-MicaPartition::get(std::string_view key)
+MicaPartition::get(std::string_view key, std::uint64_t hash)
 {
     ++_stats.gets;
-    const std::uint64_t h = keyHash(key);
-    Bucket &b = bucketFor(h);
-    const std::uint16_t tag = tagOf(h);
+    Bucket &b = bucketFor(hash);
+    const std::uint16_t tag = tagOf(hash);
     for (IndexEntry &e : b.ways) {
         if (!e.valid || e.tag != tag)
             continue;
@@ -142,7 +141,7 @@ MicaPartition::get(std::string_view key)
 bool
 MicaPartition::erase(std::string_view key)
 {
-    const std::uint64_t h = keyHash(key);
+    const std::uint64_t h = micaKeyHash(key);
     Bucket &b = bucketFor(h);
     const std::uint16_t tag = tagOf(h);
     for (IndexEntry &e : b.ways) {
@@ -166,35 +165,26 @@ MicaKvs::MicaKvs(unsigned partitions, std::size_t log_bytes_each,
         _parts.emplace_back(log_bytes_each, index_buckets_each);
 }
 
-unsigned
-MicaKvs::partitionOf(std::string_view key) const
-{
-    return static_cast<unsigned>(
-        nic::ObjectLevelLb::hashKey(
-            reinterpret_cast<const std::uint8_t *>(key.data()),
-            key.size()) %
-        _parts.size());
-}
-
 void
 MicaKvs::set(unsigned caller_partition, std::string_view key,
-             std::string_view value)
+             std::uint64_t hash, std::string_view value)
 {
-    const unsigned owner = partitionOf(key);
+    const unsigned owner = partitionOfHash(hash);
     MicaPartition &p = _parts[owner];
     if (caller_partition != owner)
         p.noteCrossPartition();
-    p.set(key, value);
+    p.set(key, hash, value);
 }
 
 std::optional<std::string>
-MicaKvs::get(unsigned caller_partition, std::string_view key)
+MicaKvs::get(unsigned caller_partition, std::string_view key,
+             std::uint64_t hash)
 {
-    const unsigned owner = partitionOf(key);
+    const unsigned owner = partitionOfHash(hash);
     MicaPartition &p = _parts[owner];
     if (caller_partition != owner)
         p.noteCrossPartition();
-    return p.get(key);
+    return p.get(key, hash);
 }
 
 MicaPartition &

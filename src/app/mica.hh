@@ -27,6 +27,14 @@
 
 namespace dagger::app {
 
+/**
+ * The hash MICA indexes and partitions by: the NIC Object-Level load
+ * balancer's FNV-1a, so hardware steering and the store agree on
+ * ownership.  Callers that already hold it pass it to the hashed
+ * overloads below instead of hashing the key again.
+ */
+std::uint64_t micaKeyHash(std::string_view key);
+
 /** Statistics for one partition / the whole store. */
 struct MicaStats
 {
@@ -60,10 +68,24 @@ class MicaPartition
     MicaPartition(std::size_t log_bytes, std::size_t index_buckets);
 
     /** Insert or overwrite. Always succeeds (lossy semantics). */
-    void set(std::string_view key, std::string_view value);
+    void set(std::string_view key, std::string_view value)
+    {
+        set(key, micaKeyHash(key), value);
+    }
+
+    /** set() for a key whose micaKeyHash() is @p hash. */
+    void set(std::string_view key, std::uint64_t hash,
+             std::string_view value);
 
     /** Fetch; nullopt on miss (never stored, displaced, or wrapped). */
-    std::optional<std::string> get(std::string_view key);
+    std::optional<std::string> get(std::string_view key)
+    {
+        return get(key, micaKeyHash(key));
+    }
+
+    /** get() for a key whose micaKeyHash() is @p hash. */
+    std::optional<std::string> get(std::string_view key,
+                                   std::uint64_t hash);
 
     /** Remove (tombstone by index invalidation). */
     bool erase(std::string_view key);
@@ -96,7 +118,6 @@ class MicaPartition
         std::uint16_t valLen;
     };
 
-    std::uint64_t keyHash(std::string_view key) const;
     Bucket &bucketFor(std::uint64_t hash);
     static std::uint16_t tagOf(std::uint64_t hash);
 
@@ -119,9 +140,9 @@ class MicaPartition
 };
 
 /**
- * The partitioned store.  Key-to-partition mapping uses the same
- * FNV-1a hash as the NIC's Object-Level load balancer, so hardware
- * steering and the store agree on ownership.
+ * The partitioned store.  Key-to-partition mapping is micaKeyHash()
+ * modulo the partition count, as the NIC's Object-Level load balancer
+ * steers.
  */
 class MicaKvs
 {
@@ -135,7 +156,16 @@ class MicaKvs
             std::size_t index_buckets_each);
 
     /** Partition owning @p key. */
-    unsigned partitionOf(std::string_view key) const;
+    unsigned partitionOf(std::string_view key) const
+    {
+        return partitionOfHash(micaKeyHash(key));
+    }
+
+    /** Partition owning the key whose micaKeyHash() is @p hash. */
+    unsigned partitionOfHash(std::uint64_t hash) const
+    {
+        return static_cast<unsigned>(hash % _parts.size());
+    }
 
     /**
      * Access through a specific serving thread (EREW check): if
@@ -144,9 +174,21 @@ class MicaKvs
      * this is what a round-robin balancer does to MICA (§5.7).
      */
     void set(unsigned caller_partition, std::string_view key,
-             std::string_view value);
+             std::string_view value)
+    {
+        set(caller_partition, key, micaKeyHash(key), value);
+    }
     std::optional<std::string> get(unsigned caller_partition,
-                                   std::string_view key);
+                                   std::string_view key)
+    {
+        return get(caller_partition, key, micaKeyHash(key));
+    }
+
+    /** set() and get() for a key whose micaKeyHash() is @p hash. */
+    void set(unsigned caller_partition, std::string_view key,
+             std::uint64_t hash, std::string_view value);
+    std::optional<std::string> get(unsigned caller_partition,
+                                   std::string_view key, std::uint64_t hash);
 
     MicaPartition &partition(unsigned i);
     unsigned numPartitions() const

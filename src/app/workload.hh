@@ -78,10 +78,15 @@ class KvWorkload
     std::string
     valueFor(std::string_view key) const
     {
+        // Byte i mixes key byte i % key.size(); k tracks that index
+        // so the loop does no division by the run-time key length.
         std::string v(_shape.valLen, 'v');
-        for (std::size_t i = 0; i < v.size(); ++i)
+        for (std::size_t i = 0, k = 0; i < v.size(); ++i) {
             v[i] = static_cast<char>(
-                'A' + (key[i % key.size()] * 31 + static_cast<char>(i)) % 26);
+                'A' + (key[k] * 31 + static_cast<char>(i)) % 26);
+            if (++k == key.size())
+                k = 0;
+        }
         return v;
     }
 

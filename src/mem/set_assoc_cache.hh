@@ -12,6 +12,7 @@
 #ifndef DAGGER_MEM_SET_ASSOC_CACHE_HH
 #define DAGGER_MEM_SET_ASSOC_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -20,7 +21,13 @@
 
 namespace dagger::mem {
 
-/** Presence-only set-associative LRU cache keyed by 64-bit keys. */
+/**
+ * Presence-only set-associative LRU cache keyed by 64-bit keys.
+ *
+ * The sets live in one contiguous `sets x ways` array.  Each set keeps
+ * its `fill` resident keys in its first slots, most recently used
+ * first.
+ */
 class SetAssocLruCache
 {
   public:
@@ -35,9 +42,8 @@ class SetAssocLruCache
         std::size_t sets = 1;
         while (sets * ways < capacity)
             sets <<= 1;
-        _sets.resize(sets);
-        for (auto &s : _sets)
-            s.reserve(ways);
+        _fill.resize(sets);
+        _slots.resize(sets * ways);
     }
 
     /**
@@ -48,26 +54,27 @@ class SetAssocLruCache
     bool
     access(std::uint64_t key)
     {
-        auto &set = _sets[indexOf(key)];
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            if (set[i] == key) {
+        const std::size_t set = indexOf(key);
+        std::uint64_t *const first = &_slots[set * _ways];
+        unsigned &fill = _fill[set];
+        for (unsigned i = 0; i < fill; ++i) {
+            if (first[i] == key) {
                 // Move to MRU (front).
-                for (std::size_t j = i; j > 0; --j)
-                    set[j] = set[j - 1];
-                set[0] = key;
+                std::copy_backward(first, first + i, first + i + 1);
+                first[0] = key;
                 ++_hits;
                 return true;
             }
         }
         ++_misses;
-        if (set.size() < _ways) {
-            set.insert(set.begin(), key);
+        if (fill < _ways) {
+            std::copy_backward(first, first + fill, first + fill + 1);
+            ++fill;
         } else {
-            for (std::size_t j = set.size() - 1; j > 0; --j)
-                set[j] = set[j - 1];
-            set[0] = key;
+            std::copy_backward(first, first + _ways - 1, first + _ways);
             ++_evictions;
         }
+        first[0] = key;
         return false;
     }
 
@@ -75,17 +82,16 @@ class SetAssocLruCache
     bool
     contains(std::uint64_t key) const
     {
-        const auto &set = _sets[indexOf(key)];
-        for (std::uint64_t k : set)
-            if (k == key)
-                return true;
-        return false;
+        const std::size_t set = indexOf(key);
+        const std::uint64_t *const first = &_slots[set * _ways];
+        const std::uint64_t *const last = first + _fill[set];
+        return std::find(first, last, key) != last;
     }
 
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
     std::uint64_t evictions() const { return _evictions; }
-    std::size_t capacity() const { return _sets.size() * _ways; }
+    std::size_t capacity() const { return _slots.size(); }
 
     double
     hitRate() const
@@ -111,11 +117,12 @@ class SetAssocLruCache
     indexOf(std::uint64_t key) const
     {
         std::uint64_t h = key * 0x9e3779b97f4a7c15ull;
-        return static_cast<std::size_t>(h >> 40) & (_sets.size() - 1);
+        return static_cast<std::size_t>(h >> 40) & (_fill.size() - 1);
     }
 
     unsigned _ways;
-    std::vector<std::vector<std::uint64_t>> _sets;
+    std::vector<std::uint64_t> _slots; ///< set s at [s * _ways, +_ways)
+    std::vector<unsigned> _fill;       ///< resident keys per set
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
     std::uint64_t _evictions = 0;

@@ -1,8 +1,5 @@
 #include "svc/flight.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "sim/logging.hh"
 
 namespace dagger::svc {
@@ -29,12 +26,14 @@ struct TierResp
 };
 #pragma pack(pop)
 
+/** @p pid as 16 lowercase, zero-padded hex digits ("%016" PRIx64). */
 std::string
 keyFor(std::uint64_t pid)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, pid);
-    return std::string(buf, 16);
+    std::string key(16, '0');
+    for (std::size_t pos = key.size(); pos-- > 0; pid >>= 4)
+        key[pos] = "0123456789abcdef"[pid & 0xf];
+    return key;
 }
 
 /** Pre-seeded Citizens records. */
