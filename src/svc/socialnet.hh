@@ -4,30 +4,41 @@
  *
  * A queueing-faithful model of the DeathStarBench Social Network
  * subset the paper profiles: six representative tiers (s1 Media, s2
- * User, s3 UniqueID, s4 Text, s5 UserMention, s6 UrlShorten) served
- * over a kernel-TCP + Thrift software stack (SoftRpcNode), with the
+ * User, s3 UniqueID, s4 Text, s5 UserMention, s6 UrlShorten), the
  * request mix of §3.2 (Compose Post / Read Home Timeline / Read User
  * Timeline) and per-tier RPC-size distributions matching Fig. 4
  * (Text's median RPC is 580 B; Media, User, and UniqueID never exceed
  * 64 B).
  *
+ * The graph is defined once and runs on either transport: the
+ * kernel-TCP + Thrift software stack the paper profiles
+ * (SoftRpcNode), or Dagger with one virtualized NIC per tier (Fig. 14,
+ * svc::Tier).  Only building the nodes, issuing a call and answering
+ * one differ between the two.
+ *
  * Used by bench/fig03 (networking fraction of median/tail latency),
- * bench/fig04 (RPC size CDF), and bench/fig05 (interference between
- * network processing and application logic on shared cores).
+ * bench/fig04 (RPC size CDF), bench/fig05 (interference between
+ * network processing and application logic on shared cores),
+ * bench/slo_storm, and bench/ext_socialnet_on_dagger (the same graph
+ * over both transports).
  */
 
 #ifndef DAGGER_SVC_SOCIALNET_HH
 #define DAGGER_SVC_SOCIALNET_HH
 
 #include <array>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "app/open_loop.hh"
 #include "baseline/soft_rpc_node.hh"
 #include "rpc/cpu.hh"
+#include "rpc/system.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "svc/tier.hh"
 
 namespace dagger::svc {
 
@@ -46,9 +57,17 @@ constexpr unsigned kSnTiers = 6;
 /** Tier display name ("s1: Media", ...). */
 const char *snTierName(unsigned tier);
 
+/** The transport every RPC of the graph rides. */
+enum class SnTransport {
+    KernelTcp, ///< Thrift over kernel TCP (baseline::SoftRpcNode), §3
+    Dagger,    ///< one virtualized Dagger NIC per tier (svc::Tier), §5.7
+};
+
 /** Configuration of the characterization deployment. */
 struct SocialNetConfig
 {
+    SnTransport transport = SnTransport::KernelTcp;
+
     /**
      * Fig. 5 knob: true = network interrupt processing shares the
      * application cores (shaded bars); false = dedicated net cores
@@ -56,7 +75,7 @@ struct SocialNetConfig
      */
     bool colocatedNetworking = false;
 
-    /** Thrift-over-kernel-TCP software stack costs. */
+    /** Thrift-over-kernel-TCP software stack costs (KernelTcp only). */
     baseline::SoftStackParams stack{
         "LinuxTCP+Thrift",
         sim::usToTicks(14.0), // RPC send (Thrift serialization)
@@ -66,14 +85,15 @@ struct SocialNetConfig
         sim::usToTicks(20.0), // wire
     };
 
-    // Per-tier application compute (DeathStarBench-like: Text and
-    // UserMention are compute-heavy, User and UniqueID are tiny).
-    sim::Tick mediaCost = sim::usToTicks(500);
-    sim::Tick userCost = sim::usToTicks(15);
-    sim::Tick uniqueIdCost = sim::usToTicks(10);
-    sim::Tick textCost = sim::usToTicks(1800);
-    sim::Tick userMentionCost = sim::usToTicks(1400);
-    sim::Tick urlShortenCost = sim::usToTicks(700);
+    /**
+     * Per-tier application compute, indexed by SnTier
+     * (DeathStarBench-like: Text and UserMention are compute-heavy,
+     * User and UniqueID are tiny).
+     */
+    std::array<sim::Tick, kSnTiers> tierCost = {
+        sim::usToTicks(500),  sim::usToTicks(15),   sim::usToTicks(10),
+        sim::usToTicks(1800), sim::usToTicks(1400), sim::usToTicks(700),
+    };
 
     /**
      * CPU slowdown from interrupt context switches + cache pollution
@@ -130,8 +150,17 @@ class SocialNet
     /** End-to-end request latency. */
     sim::Histogram &e2eLatency() { return _e2e; }
 
-    /** Per-tier served breakdown (transport / rpc / app / total). */
+    /**
+     * Per-tier served breakdown (transport / rpc / app / total), as
+     * the §3 profiler sees it on the serving side (KernelTcp only).
+     */
     const baseline::ServeBreakdown &tierBreakdown(unsigned tier) const;
+
+    /** Caller-side RTT of every call to @p tier (both transports). */
+    const sim::Histogram &callLatency(unsigned tier) const
+    {
+        return _callLat[tier];
+    }
 
     /** Per-tier request wire sizes (bytes). */
     const sim::Histogram &requestSize(unsigned tier) const
@@ -149,32 +178,50 @@ class SocialNet
     std::uint64_t degradedServed() const { return _degradedServed; }
     /** Requests issued but not yet completed. */
     std::uint64_t inflight() const { return _inflight; }
-    sim::EventQueue &eq() { return _eq; }
+    sim::EventQueue &eq() { return _sys.eq(); }
 
   private:
+    /** A tier's answer: response payload and the handler's compute. */
+    using Respond = std::function<void(proto::PayloadBuf, sim::Tick)>;
+
     void build();
+    void buildKernelTcp();
+    void buildDagger();
+    /** Install @p handler as @p tier's request handler. */
+    void serve(unsigned tier, std::function<void(Respond)> handler);
+    /** Answer @p tier's request: a Fig. 4 response and its compute. */
+    void answer(unsigned tier, const Respond &respond);
     void issueRequest();
     void composePost(sim::Tick t0, bool degraded = false);
     void readTimeline(sim::Tick t0);
     void finishRequest(sim::Tick t0);
 
-    /** Issue one sized call and record size stats. */
-    void callTier(baseline::SoftRpcNode &from, unsigned tier,
-                  std::size_t req_bytes,
-                  std::function<void(const baseline::Payload &)> cb);
+    /**
+     * Issue one sized call from @p tier's caller to @p tier, record
+     * size and caller-side RTT stats, then run @p done.
+     */
+    void callTier(unsigned tier, std::size_t req_bytes,
+                  std::function<void()> done);
 
     std::size_t sampleReqSize(unsigned tier);
-    std::size_t sampleRespSize(unsigned tier);
+    std::size_t sampleRespSize();
 
     SocialNetConfig _cfg;
-    sim::EventQueue _eq;
+    /** Queue of both transports; fabric and ToR idle under KernelTcp. */
+    rpc::DaggerSystem _sys;
+    /** KernelTcp: every node's cores.  Dagger: the front-end's core. */
     std::unique_ptr<rpc::CpuSet> _cpus;
     sim::Rng _rng;
 
-    std::array<std::unique_ptr<baseline::SoftRpcNode>, kSnTiers> _tiers;
-    std::unique_ptr<baseline::SoftRpcNode> _frontend;
+    /** KernelTcp: the six tiers, then the front-end (kSnTiers). */
+    std::array<std::unique_ptr<baseline::SoftRpcNode>, kSnTiers + 1> _soft;
+    /** Dagger: the six tiers, and per target tier its caller's client. */
+    std::array<std::unique_ptr<Tier>, kSnTiers> _tiers;
+    std::array<rpc::RpcClient *, kSnTiers> _clientTo{};
+    std::vector<std::unique_ptr<rpc::RpcClient>> _frontendClients;
 
     std::array<sim::Histogram, kSnTiers> _reqSize;
+    std::array<sim::Histogram, kSnTiers> _callLat;
     sim::Histogram _allReq{"all_req_bytes"};
     sim::Histogram _allResp{"all_resp_bytes"};
     sim::Histogram _e2e{"socialnet_e2e"};

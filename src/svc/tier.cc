@@ -6,18 +6,6 @@
 
 namespace dagger::svc {
 
-Tier::Tier(rpc::DaggerSystem &sys, std::string name,
-           rpc::HwThread &dispatch, unsigned downstreams,
-           nic::NicConfig cfg, nic::SoftConfig soft)
-    : _sys(sys), _name(std::move(name)), _dispatch(&dispatch)
-{
-    cfg.numFlows = 1 + downstreams;
-    _node = &sys.addNode(cfg, soft);
-    _server = std::make_unique<rpc::RpcThreadedServer>(*_node);
-    _server->addThread(0, dispatch);
-    registerMetrics();
-}
-
 Tier::Tier(rpc::DaggerSystem &sys, std::string name, unsigned downstreams,
            unsigned cores, nic::NicConfig cfg, nic::SoftConfig soft)
     : _sys(sys), _name(std::move(name))
@@ -25,10 +13,9 @@ Tier::Tier(rpc::DaggerSystem &sys, std::string name, unsigned downstreams,
     dagger_assert(cores > 0, "tier '", _name, "' needs at least one core");
     cfg.numFlows = 1 + downstreams;
     _node = &sys.addNode(cfg, soft);
-    _ownCpus = std::make_unique<rpc::CpuSet>(_node->eq(), cores);
-    _dispatch = &_ownCpus->core(0).thread(0);
+    _cpus = std::make_unique<rpc::CpuSet>(_node->eq(), cores);
     _server = std::make_unique<rpc::RpcThreadedServer>(*_node);
-    _server->addThread(0, *_dispatch);
+    _server->addThread(0, dispatchThread());
     registerMetrics();
 }
 
@@ -42,21 +29,14 @@ Tier::registerMetrics()
     scope.intGauge("shed_calls", [this] { return shedCalls(); });
 }
 
-rpc::CpuCore &
-Tier::ownCore(unsigned i)
-{
-    dagger_assert(_ownCpus, "tier '", _name,
-                  "' was built with an external dispatch thread");
-    return _ownCpus->core(i);
-}
-
 rpc::RpcClient &
 Tier::connectTo(Tier &server_tier, nic::LbScheme lb)
 {
     dagger_assert(_nextClientFlow < _node->numFlows(),
                   "tier '", _name, "' has no free client flows");
     const unsigned flow = _nextClientFlow++;
-    auto client = std::make_unique<rpc::RpcClient>(*_node, flow, *_dispatch);
+    auto client = std::make_unique<rpc::RpcClient>(*_node, flow,
+                                                   dispatchThread());
     const proto::ConnId conn =
         _sys.connect(*_node, flow, server_tier.node(), 0, lb);
     client->setConnection(conn);
@@ -104,25 +84,17 @@ Tier::degradedCalls() const
 }
 
 void
-Tier::useWorkerPool(std::vector<rpc::HwThread *> workers)
-{
-    _pool = std::make_unique<rpc::WorkerPool>(_sys, std::move(workers));
-    _server->setWorkerPool(_pool.get());
-}
-
-void
 Tier::useWorkerPool(unsigned workers)
 {
-    dagger_assert(_ownCpus, "tier '", _name,
-                  "' was built with an external dispatch thread");
-    dagger_assert(_ownCpus->numCores() > workers,
-                  "tier '", _name, "' has ", _ownCpus->numCores(),
+    dagger_assert(_cpus->numCores() > workers,
+                  "tier '", _name, "' has ", _cpus->numCores(),
                   " cores, needs ", workers + 1, " for a ", workers,
                   "-worker pool");
     std::vector<rpc::HwThread *> threads;
     for (unsigned w = 0; w < workers; ++w)
-        threads.push_back(&_ownCpus->core(1 + w).thread(0));
-    useWorkerPool(std::move(threads));
+        threads.push_back(&_cpus->core(1 + w).thread(0));
+    _pool = std::make_unique<rpc::WorkerPool>(_sys, std::move(threads));
+    _server->setWorkerPool(_pool.get());
 }
 
 } // namespace dagger::svc

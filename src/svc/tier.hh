@@ -38,21 +38,13 @@ class Tier
 {
   public:
     /**
-     * @param sys        the deployment
-     * @param name       tier name (for traces)
-     * @param dispatch   hardware thread of the dispatch loop
+     * @param sys         the deployment
+     * @param name        tier name (for traces and metrics)
      * @param downstreams number of downstream client flows to provision
-     * @param cfg        per-tier NIC hard config template (flows are
-     *                   sized automatically: 1 server + downstreams)
-     */
-    Tier(rpc::DaggerSystem &sys, std::string name, rpc::HwThread &dispatch,
-         unsigned downstreams, nic::NicConfig cfg = {},
-         nic::SoftConfig soft = {});
-
-    /**
-     * Self-contained construction: the tier owns a CpuSet of @p cores
-     * cores (core 0 thread 0 becomes the dispatch thread), so callers
-     * need not build and keep one alive for it.
+     * @param cores       cores the tier owns: core 0 thread 0 runs the
+     *                    dispatch loop, cores 1.. host worker threads
+     * @param cfg         per-tier NIC hard config template (flows are
+     *                    sized automatically: 1 server + downstreams)
      */
     Tier(rpc::DaggerSystem &sys, std::string name, unsigned downstreams,
          unsigned cores, nic::NicConfig cfg = {}, nic::SoftConfig soft = {});
@@ -61,13 +53,9 @@ class Tier
     rpc::RpcClient &connectTo(Tier &server_tier,
                               nic::LbScheme lb = nic::LbScheme::RoundRobin);
 
-    /** Apply the Optimized threading model with the given workers. */
-    void useWorkerPool(std::vector<rpc::HwThread *> workers);
-
     /**
      * Apply the Optimized threading model with @p workers threads from
-     * this tier's own CpuSet (cores 1..workers; requires the
-     * self-contained constructor and cores > workers).
+     * this tier's own cores (cores 1..workers; requires cores > workers).
      */
     void useWorkerPool(unsigned workers);
 
@@ -99,9 +87,9 @@ class Tier
     rpc::RpcThreadedServer &server() { return *_server; }
     rpc::RpcServerThread &serverThread() { return _server->serverThread(0); }
     rpc::DaggerNode &node() { return *_node; }
-    rpc::HwThread &dispatchThread() { return *_dispatch; }
-    /** Core @p i of the tier-owned CpuSet (self-contained ctor only). */
-    rpc::CpuCore &ownCore(unsigned i);
+    rpc::HwThread &dispatchThread() { return _cpus->core(0).thread(0); }
+    /** Core @p i of the tier's own cores. */
+    rpc::CpuCore &ownCore(unsigned i) { return _cpus->core(i); }
     const std::string &name() const { return _name; }
     rpc::WorkerPool *workerPool() { return _pool.get(); }
     Tracer &tracer() { return _tracer; }
@@ -112,9 +100,7 @@ class Tier
     rpc::DaggerSystem &_sys;
     std::string _name;
     rpc::DaggerNode *_node;
-    /** Set by the self-contained constructor. */
-    std::unique_ptr<rpc::CpuSet> _ownCpus;
-    rpc::HwThread *_dispatch;
+    std::unique_ptr<rpc::CpuSet> _cpus;
     std::unique_ptr<rpc::RpcThreadedServer> _server;
     std::vector<std::unique_ptr<rpc::RpcClient>> _clients;
     std::unique_ptr<rpc::WorkerPool> _pool;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Social Network characterization-model tests (§3): per-tier
- * breakdowns, RPC size distributions, interference experiment shape.
+ * breakdowns, RPC size distributions, interference experiment shape,
+ * and the same graph over the Dagger transport.
  */
 
 #include <gtest/gtest.h>
@@ -99,6 +100,76 @@ TEST(SocialNet, ColocationHurtsTailLatency)
               iso.e2eLatency().percentile(99));
     EXPECT_GE(col.e2eLatency().percentile(50),
               iso.e2eLatency().percentile(50));
+}
+
+SocialNetConfig
+daggerConfig()
+{
+    SocialNetConfig cfg;
+    cfg.transport = SnTransport::Dagger;
+    return cfg;
+}
+
+TEST(SocialNet, DaggerRequestsCompleteExactlyOnce)
+{
+    SocialNet sn(daggerConfig());
+    sn.run(/*qps=*/200, msToTicks(150));
+    EXPECT_GT(sn.issued(), 10u);
+    EXPECT_EQ(sn.completed(), sn.issued());
+    EXPECT_EQ(sn.inflight(), 0u);
+    EXPECT_EQ(sn.e2eLatency().count(), sn.completed());
+}
+
+TEST(SocialNet, GraphShapeHoldsOnBothTransports)
+{
+    for (SnTransport transport :
+         {SnTransport::KernelTcp, SnTransport::Dagger}) {
+        SocialNetConfig cfg;
+        cfg.transport = transport;
+        SocialNet sn(cfg);
+        sn.run(200, msToTicks(200));
+        const std::uint64_t composes = sn.requestSize(3).count();
+        ASSERT_GT(composes, 0u);
+        ASSERT_LT(composes, sn.issued()); // some timeline reads too
+        // Compose fan-out: UniqueID, Media and Text once per post,
+        // and Text nests one UserMention and one UrlShorten call.
+        for (unsigned t : {0u, 2u, 4u, 5u})
+            EXPECT_EQ(sn.requestSize(t).count(), composes) << snTierName(t);
+        // User: one call per compose plus one per timeline read.
+        EXPECT_EQ(sn.requestSize(1).count(), sn.issued());
+        // Every call was answered exactly once at its caller.
+        for (unsigned t = 0; t < kSnTiers; ++t)
+            EXPECT_EQ(sn.callLatency(t).count(), sn.requestSize(t).count())
+                << snTierName(t);
+    }
+}
+
+TEST(SocialNet, DaggerCollapsesLightTierNetworkingShare)
+{
+    // The light tiers' networking share over Dagger, (caller RTT -
+    // compute) / caller RTT, sits below their kernel-TCP serve-side
+    // share (§3 -> §5: only the transport changed).
+    SocialNet tcp;
+    tcp.run(200, msToTicks(250));
+    SocialNetConfig cfg = daggerConfig();
+    SocialNet dagger(cfg);
+    dagger.run(200, msToTicks(250));
+    for (unsigned t : {1u, 2u}) { // s2 User, s3 UniqueID
+        const auto &b = tcp.tierBreakdown(t);
+        const double net = b.transport.mean() + b.rpc.mean();
+        const double tcp_share = net / (net + b.app.mean());
+        const double rtt = dagger.callLatency(t).mean();
+        const double dagger_share =
+            (rtt - static_cast<double>(cfg.tierCost[t])) / rtt;
+        EXPECT_GT(dagger_share, 0.0) << snTierName(t);
+        EXPECT_LT(dagger_share, tcp_share) << snTierName(t);
+    }
+}
+
+TEST(SocialNetDeath, TierBreakdownIsKernelTcpOnly)
+{
+    SocialNet sn(daggerConfig());
+    EXPECT_DEATH(sn.tierBreakdown(1), "kernel-TCP");
 }
 
 TEST(SocialNet, TierNamesMatchPaperLabels)

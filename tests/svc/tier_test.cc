@@ -17,18 +17,10 @@ using sim::usToTicks;
 
 constexpr proto::FnId kFn = 1;
 
-struct TierRig
-{
-    TierRig() : cpus(sys.eq(), 6) {}
-
-    DaggerSystem sys;
-    CpuSet cpus;
-};
-
 TEST(Tier, ProvisionsServerPlusClientFlows)
 {
-    TierRig rig;
-    Tier mid(rig.sys, "mid", rig.cpus.core(0).thread(0), 2);
+    DaggerSystem sys;
+    Tier mid(sys, "mid", 2, 1);
     EXPECT_EQ(mid.node().numFlows(), 3u); // 1 server + 2 clients
     EXPECT_EQ(mid.name(), "mid");
     EXPECT_EQ(mid.server().size(), 1u);
@@ -36,9 +28,9 @@ TEST(Tier, ProvisionsServerPlusClientFlows)
 
 TEST(Tier, ConnectToWiresDownstream)
 {
-    TierRig rig;
-    Tier front(rig.sys, "front", rig.cpus.core(0).thread(0), 1);
-    Tier back(rig.sys, "back", rig.cpus.core(1).thread(0), 0);
+    DaggerSystem sys;
+    Tier front(sys, "front", 1, 1);
+    Tier back(sys, "back", 0, 1);
     back.serverThread().registerHandler(
         kFn, [](const proto::RpcMessage &req) {
             HandlerOutcome out;
@@ -56,25 +48,25 @@ TEST(Tier, ConnectToWiresDownstream)
         EXPECT_EQ(out, 9u);
         ++done;
     });
-    rig.sys.eq().runFor(usToTicks(100));
+    sys.eq().runFor(usToTicks(100));
     EXPECT_EQ(done, 1);
 }
 
 TEST(TierDeath, RunsOutOfClientFlows)
 {
-    TierRig rig;
-    Tier front(rig.sys, "front", rig.cpus.core(0).thread(0), 1);
-    Tier back(rig.sys, "back", rig.cpus.core(1).thread(0), 0);
+    DaggerSystem sys;
+    Tier front(sys, "front", 1, 1);
+    Tier back(sys, "back", 0, 1);
     front.connectTo(back);
     EXPECT_DEATH(front.connectTo(back), "no free client flows");
 }
 
 TEST(Tier, WorkerPoolMovesHandlerOffDispatch)
 {
-    TierRig rig;
-    Tier front(rig.sys, "front", rig.cpus.core(0).thread(0), 1);
-    Tier back(rig.sys, "back", rig.cpus.core(1).thread(0), 0);
-    back.useWorkerPool({&rig.cpus.core(2).thread(0)});
+    DaggerSystem sys;
+    Tier front(sys, "front", 1, 1);
+    Tier back(sys, "back", 0, 2);
+    back.useWorkerPool(1u);
     ASSERT_NE(back.workerPool(), nullptr);
 
     back.serverThread().registerHandler(
@@ -90,21 +82,21 @@ TEST(Tier, WorkerPoolMovesHandlerOffDispatch)
         std::uint64_t v = i;
         client.callPod(kFn, v, [&](const proto::RpcMessage &) { ++done; });
     }
-    rig.sys.eq().runFor(sim::msToTicks(1));
+    sys.eq().runFor(sim::msToTicks(1));
     EXPECT_EQ(done, 10);
     EXPECT_EQ(back.workerPool()->submitted(), 10u);
     // Handler time (5us each) landed on the worker, not the dispatch
     // thread.
-    EXPECT_GT(rig.cpus.core(2).thread(0).busyTicks(), usToTicks(45));
-    EXPECT_LT(rig.cpus.core(1).thread(0).busyTicks(), usToTicks(20));
+    EXPECT_GT(back.ownCore(1).thread(0).busyTicks(), usToTicks(45));
+    EXPECT_LT(back.dispatchThread().busyTicks(), usToTicks(20));
 }
 
 TEST(Tier, ThreeTierChainOverVirtualizedNics)
 {
-    TierRig rig;
-    Tier a(rig.sys, "a", rig.cpus.core(0).thread(0), 1);
-    Tier b(rig.sys, "b", rig.cpus.core(1).thread(0), 1);
-    Tier c(rig.sys, "c", rig.cpus.core(2).thread(0), 0);
+    DaggerSystem sys;
+    Tier a(sys, "a", 1, 1);
+    Tier b(sys, "b", 1, 1);
+    Tier c(sys, "c", 0, 1);
 
     c.serverThread().registerHandler(kFn, [](const proto::RpcMessage &req) {
         HandlerOutcome out;
@@ -143,10 +135,10 @@ TEST(Tier, ThreeTierChainOverVirtualizedNics)
     a_to_b.callPod(kFn, v, [&](const proto::RpcMessage &resp) {
         resp.payloadAs(answer);
     });
-    rig.sys.eq().runFor(usToTicks(200));
+    sys.eq().runFor(usToTicks(200));
     EXPECT_EQ(answer, 42u);
     // Three NIC instances share the fabric.
-    EXPECT_EQ(rig.sys.numNodes(), 3u);
+    EXPECT_EQ(sys.numNodes(), 3u);
 }
 
 TEST(Tier, TracerAggregatesSpans)
