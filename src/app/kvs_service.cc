@@ -146,23 +146,4 @@ KvsClient::getChecked(std::string_view key, GetStatusCb cb)
         });
 }
 
-void
-KvsClient::setChecked(std::string_view key, std::string_view value,
-                      SetStatusCb cb)
-{
-    const KvSetRequest req = setRequest(key, value);
-    dagger_assert(cb, "setChecked needs a continuation");
-    _client.callPodStatus(
-        static_cast<proto::FnId>(KvsFn::Set), req,
-        [cb = std::move(cb)](rpc::CallStatus st,
-                             const proto::RpcMessage &m) {
-            KvSetResponse resp{};
-            if (st != rpc::CallStatus::Ok || !m.payloadAs(resp)) {
-                cb(st, false);
-                return;
-            }
-            cb(st, resp.stored != 0);
-        });
-}
-
 } // namespace dagger::app

@@ -117,11 +117,10 @@ class KvsClient
   public:
     using GetCb = std::function<void(bool hit, std::string_view value)>;
     using SetCb = std::function<void(bool stored)>;
-    /** Status-aware continuations: fire exactly once per call, even
+    /** Status-aware continuation: fires exactly once per call, even
      *  when the underlying RetryPolicy exhausts its budget. */
     using GetStatusCb = std::function<void(rpc::CallStatus, bool hit,
                                            std::string_view value)>;
-    using SetStatusCb = std::function<void(rpc::CallStatus, bool stored)>;
 
     explicit KvsClient(rpc::RpcClient &client) : _client(client) {}
 
@@ -134,10 +133,6 @@ class KvsClient
     /** GET whose continuation also reports the call outcome (for
      *  degraded-mode callers under a timeout budget). */
     void getChecked(std::string_view key, GetStatusCb cb);
-
-    /** SET with outcome reporting; see getChecked(). */
-    void setChecked(std::string_view key, std::string_view value,
-                    SetStatusCb cb);
 
     rpc::RpcClient &raw() { return _client; }
 

@@ -8,7 +8,7 @@ namespace dagger::app {
 std::uint64_t
 micaKeyHash(std::string_view key)
 {
-    return nic::ObjectLevelLb::hashKey(
+    return nic::objectKeyHash(
         reinterpret_cast<const std::uint8_t *>(key.data()), key.size());
 }
 

@@ -28,9 +28,9 @@
 namespace dagger::app {
 
 /**
- * The hash MICA indexes and partitions by: the NIC Object-Level load
- * balancer's FNV-1a, so hardware steering and the store agree on
- * ownership.  Callers that already hold it pass it to the hashed
+ * The hash MICA indexes and partitions by: nic::objectKeyHash, the
+ * FNV-1a the NIC steers Object-Level requests with, so hardware
+ * steering and the store agree on ownership.  Callers that already hold it pass it to the hashed
  * overloads below instead of hashing the key again.
  */
 std::uint64_t micaKeyHash(std::string_view key);

@@ -104,9 +104,12 @@ class SoftRpcNode
 
     std::uint64_t handled() const { return _handled; }
     const SoftStackParams &params() const { return _params; }
-    rpc::HwThread &netThread() { return _net ? *_net : _app; }
 
   private:
+    /** The thread that runs the transport: the net thread if the node
+     *  has one, else the app thread. */
+    rpc::HwThread &netThread() { return _net ? *_net : _app; }
+
     /**
      * One in-flight call, parked at the caller from call() until the
      * response reaches the caller's app thread.  Every event of the

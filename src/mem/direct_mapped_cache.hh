@@ -2,8 +2,8 @@
  * @file
  * Generic direct-mapped cache model with hit/miss/eviction statistics.
  *
- * Used for the Host Coherent Cache (HCC, 128 KB, §4.1).  The NIC
- * connection cache (§4.2) keeps its own table in ConnectionManager.
+ * Used for the Host Coherent Cache (HCC, 128 KB, §4.1) and the NIC
+ * connection cache (§4.2, nic::ConnectionManager).
  */
 
 #ifndef DAGGER_MEM_DIRECT_MAPPED_CACHE_HH
@@ -47,13 +47,17 @@ class DirectMappedCache
         return std::nullopt;
     }
 
-    /** Peek without touching statistics. */
-    std::optional<V>
-    peek(std::uint64_t key) const
+    /**
+     * The key held in @p key's slot, if the slot is valid (it may be
+     * @p key itself or the key an insert() would displace).  Touches
+     * no statistics.
+     */
+    std::optional<std::uint64_t>
+    residentKey(std::uint64_t key) const
     {
         const Slot &s = _slots[index(key)];
-        if (s.valid && s.key == key)
-            return s.value;
+        if (s.valid)
+            return s.key;
         return std::nullopt;
     }
 

@@ -61,9 +61,6 @@ class Hcc
         return _missLatency;
     }
 
-    /** Invalidate one line (host wrote the backing memory). */
-    void invalidate(std::uint64_t key) { _lines.erase(key); }
-
     std::uint64_t hits() const { return _lines.hits(); }
     std::uint64_t misses() const { return _lines.misses(); }
     double hitRate() const { return _lines.hitRate(); }

@@ -10,7 +10,9 @@
  * Soft configuration corresponds to the soft register file written
  * over MMIO at runtime ("Dagger uses soft configuration to control
  * the batch size of CCI-P data transfers, provision the transmit and
- * receive rings, ..., choose a load balancing scheme").
+ * receive rings, ..., choose a load balancing scheme").  The scheme
+ * itself is a field of each connection's tuple (§4.2, ConnTuple), set
+ * when the connection is opened, not a NIC-wide register.
  */
 
 #ifndef DAGGER_NIC_CONFIG_HH
@@ -87,9 +89,6 @@ struct SoftConfig
      *  Calibrated: Fig. 11 (left) shows B=4 costs ~1 us of extra
      *  median latency at low load relative to B=1. */
     sim::Tick batchTimeout = sim::usToTicks(0.5);
-
-    /** Load-balancing scheme for incoming requests. */
-    LbScheme loadBalancer = LbScheme::RoundRobin;
 
     /** Active flows (<= NicConfig::numFlows). */
     unsigned activeFlows = 0; ///< 0 means "all configured flows"

@@ -5,33 +5,23 @@
 namespace dagger::nic {
 
 ConnectionManager::ConnectionManager(const NicConfig &cfg)
-    : _cfg(cfg), _table(cfg.connCacheEntries)
-{
-    dagger_assert(cfg.connCacheEntries > 0 &&
-                  (cfg.connCacheEntries & (cfg.connCacheEntries - 1)) == 0,
-                  "connection cache entries must be a power of two, got ",
-                  cfg.connCacheEntries);
-}
+    : _cfg(cfg), _cache(cfg.connCacheEntries)
+{}
 
 bool
 ConnectionManager::open(proto::ConnId id, const ConnTuple &tuple)
 {
     ++_readerAccesses[static_cast<std::size_t>(CmReader::Manager)];
-    Slot &s = _table[index(id)];
-    if (s.valid && s.id != id) {
-        // Direct-mapped conflict.
-        if (!_cfg.connCacheDramBacking) {
-            dagger_warn("connection cache conflict: c_id ", id,
-                        " displaces c_id ", s.id,
-                        " and DRAM backing is disabled");
-            return false;
-        }
-        ++_evictions;
-        _backing[s.id] = s.tuple;
+    const auto held = _cache.residentKey(id);
+    if (held && *held != id && !_cfg.connCacheDramBacking) {
+        // Direct-mapped conflict with nowhere to put the displaced one.
+        dagger_warn("connection cache conflict: c_id ", id,
+                    " displaces c_id ", *held,
+                    " and DRAM backing is disabled");
+        return false;
     }
-    s.valid = true;
-    s.id = id;
-    s.tuple = tuple;
+    // DRAM backing is write-through: a displaced tuple is already there.
+    _cache.insert(id, tuple);
     if (_cfg.connCacheDramBacking)
         _backing[id] = tuple;
     return true;
@@ -41,9 +31,7 @@ void
 ConnectionManager::close(proto::ConnId id)
 {
     ++_readerAccesses[static_cast<std::size_t>(CmReader::Manager)];
-    Slot &s = _table[index(id)];
-    if (s.valid && s.id == id)
-        s.valid = false;
+    _cache.erase(id);
     _backing.erase(id);
 }
 
@@ -53,12 +41,8 @@ ConnectionManager::lookup(proto::ConnId id, CmReader reader,
 {
     ++_readerAccesses[static_cast<std::size_t>(reader)];
     penalty = 0;
-    Slot &s = _table[index(id)];
-    if (s.valid && s.id == id) {
-        ++_hits;
-        return s.tuple;
-    }
-    ++_misses;
+    if (auto hit = _cache.lookup(id))
+        return hit;
     if (!_cfg.connCacheDramBacking)
         return std::nullopt;
     auto it = _backing.find(id);
@@ -66,23 +50,8 @@ ConnectionManager::lookup(proto::ConnId id, CmReader reader,
         return std::nullopt;
     // Coherent fill from host DRAM; refill the cache slot.
     penalty = _cfg.connMissPenalty;
-    if (s.valid && s.id != id) {
-        ++_evictions;
-        _backing[s.id] = s.tuple;
-    }
-    s.valid = true;
-    s.id = id;
-    s.tuple = it->second;
+    _cache.insert(id, it->second);
     return it->second;
-}
-
-std::size_t
-ConnectionManager::cachedConnections() const
-{
-    std::size_t n = 0;
-    for (const Slot &s : _table)
-        n += s.valid;
-    return n;
 }
 
 } // namespace dagger::nic

@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
+#include "mem/direct_mapped_cache.hh"
 #include "net/tor_switch.hh"
 #include "nic/config.hh"
 #include "proto/wire.hh"
@@ -45,11 +45,11 @@ enum class CmReader : std::uint8_t {
 };
 
 /**
- * The connection cache.  Entries live in a direct-mapped table of
- * NicConfig::connCacheEntries slots; with DRAM backing enabled,
- * evicted/missing entries can be refetched at connMissPenalty,
- * otherwise a miss on an open connection is an error in the caller's
- * setup and the lookup fails.
+ * The connection cache.  Entries live in a direct-mapped cache of
+ * NicConfig::connCacheEntries slots.  With DRAM backing enabled, every
+ * open tuple is also written through to host DRAM, so an evicted entry
+ * is refetched at connMissPenalty; otherwise a miss on an open
+ * connection is an error in the caller's setup and the lookup fails.
  */
 class ConnectionManager
 {
@@ -84,10 +84,10 @@ class ConnectionManager
         return lookup(id, reader, penalty);
     }
 
-    std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
-    std::uint64_t evictions() const { return _evictions; }
-    std::size_t cachedConnections() const;
+    std::uint64_t hits() const { return _cache.hits(); }
+    std::uint64_t misses() const { return _cache.misses(); }
+    std::uint64_t evictions() const { return _cache.evictions(); }
+    std::size_t cachedConnections() const { return _cache.occupancy(); }
     std::size_t backingConnections() const { return _backing.size(); }
 
     /** Per-read-port access counts (exercises the 1W3R structure). */
@@ -100,17 +100,10 @@ class ConnectionManager
     void
     registerMetrics(sim::MetricScope scope) const
     {
-        scope.gauge("hit_rate",
-                    [this] {
-                        const auto total = _hits + _misses;
-                        return total == 0
-                            ? 0.0
-                            : static_cast<double>(_hits) /
-                                  static_cast<double>(total);
-                    });
-        scope.intGauge("hits", [this] { return _hits; });
-        scope.intGauge("misses", [this] { return _misses; });
-        scope.intGauge("evictions", [this] { return _evictions; });
+        scope.gauge("hit_rate", [this] { return _cache.hitRate(); });
+        scope.intGauge("hits", [this] { return hits(); });
+        scope.intGauge("misses", [this] { return misses(); });
+        scope.intGauge("evictions", [this] { return evictions(); });
         scope.intGauge("cached",
                        [this] {
                            return static_cast<std::uint64_t>(
@@ -129,18 +122,6 @@ class ConnectionManager
     }
 
   private:
-    struct Slot
-    {
-        bool valid = false;
-        proto::ConnId id = 0;
-        ConnTuple tuple;
-    };
-
-    std::size_t index(proto::ConnId id) const
-    {
-        return static_cast<std::size_t>(id) & (_table.size() - 1);
-    }
-
     const NicConfig &_cfg;
     /**
      * The three banked tables of the 1W3R design hold the same logical
@@ -148,12 +129,9 @@ class ConnectionManager
      * and count per-port accesses, which preserves behaviour exactly
      * (the banking only removes structural hazards in RTL).
      */
-    std::vector<Slot> _table;
+    mem::DirectMappedCache<ConnTuple> _cache;
     /// host DRAM
     std::unordered_map<proto::ConnId, ConnTuple> _backing;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
-    std::uint64_t _evictions = 0;
     std::array<std::uint64_t, 3> _readerAccesses{};
 };
 

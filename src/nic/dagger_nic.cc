@@ -1,5 +1,6 @@
 #include "nic/dagger_nic.hh"
 
+#include "nic/load_balancer.hh"
 #include "sim/check.hh"
 #include "sim/logging.hh"
 
@@ -26,10 +27,7 @@ DaggerNic::DaggerNic(sim::EventQueue &eq, NicConfig cfg, SoftConfig soft,
       _cm(_cfg), _hcc(cfg.connMissPenalty),
       _reqBuffer(kHwMaxBatch * cfg.numFlows, cfg.numFlows,
                  kIngressStallFrames),
-      _flows(cfg.numFlows), _protocol(std::make_unique<ProtocolUnit>()),
-      _rrLb(std::make_unique<RoundRobinLb>()),
-      _staticLb(std::make_unique<StaticLb>()),
-      _objLb(std::make_unique<ObjectLevelLb>(0, 8))
+      _flows(cfg.numFlows), _protocol(std::make_unique<ProtocolUnit>())
 {
     dagger_assert(cfg.numFlows >= 1, "NIC needs at least one flow");
     _net.setReceiver([this](net::Packet pkt) { onNetReceive(std::move(pkt)); });
@@ -62,7 +60,8 @@ DaggerNic::closeConnection(proto::ConnId id)
 void
 DaggerNic::setObjectLevelKey(std::size_t key_offset, std::size_t key_len)
 {
-    _objLb = std::make_unique<ObjectLevelLb>(key_offset, key_len);
+    _objKeyOffset = key_offset;
+    _objKeyLen = key_len;
 }
 
 void
@@ -275,19 +274,11 @@ DaggerNic::steerMessage(std::vector<proto::Frame> frames)
     unsigned flow;
     if (h0.type == proto::MsgType::Response) {
         flow = tuple->srcFlow % _cfg.numFlows;
-    } else if (tuple->loadBalancer == LbScheme::ObjectLevel) {
-        // The object-level balancer hashes key bytes out of the
-        // payload, so this steering mode (alone) reassembles.
-        proto::RpcMessage msg;
-        if (!proto::RpcMessage::fromFrames(frames, msg)) {
-            _monitor.malformed.inc();
-            return;
-        }
-        flow = pickFlow(msg, *tuple);
+    } else if (const auto picked = pickFlow(frames, *tuple)) {
+        flow = *picked;
     } else {
-        const proto::RpcMessage hdr(h0.connId, h0.rpcId, h0.fnId, h0.type,
-                                    proto::PayloadBuf());
-        flow = pickFlow(hdr, *tuple);
+        _monitor.malformed.inc();
+        return;
     }
     DAGGER_DCHECK(flow < _flows.size(),
                   "load balancer steered to nonexistent flow ", flow);
@@ -310,23 +301,36 @@ DaggerNic::steerMessage(std::vector<proto::Frame> frames)
     }
 }
 
-unsigned
-DaggerNic::pickFlow(const proto::RpcMessage &msg, const ConnTuple &tuple)
+std::optional<unsigned>
+DaggerNic::pickFlow(const std::vector<proto::Frame> &frames,
+                    const ConnTuple &tuple)
 {
-    LoadBalancer *lb = nullptr;
+    const unsigned flows = activeFlows();
     switch (tuple.loadBalancer) {
-      case LbScheme::RoundRobin:
-        lb = _rrLb.get();
-        break;
+      case LbScheme::RoundRobin: {
+        // Dynamic uniform steering.
+        const unsigned f = _rrNext % flows;
+        _rrNext = (_rrNext + 1) % flows;
+        return f;
+      }
       case LbScheme::Static:
-        lb = _staticLb.get();
-        break;
+        return tuple.srcFlow % flows;
       case LbScheme::ObjectLevel:
-        lb = _objLb.get();
         break;
     }
-    dagger_assert(lb, "no load balancer instance");
-    return lb->pick(msg, tuple, activeFlows());
+    // Object-Level core affinity hashes key bytes out of the payload,
+    // so this scheme (alone) reassembles.
+    proto::RpcMessage msg;
+    if (!proto::RpcMessage::fromFrames(frames, msg))
+        return std::nullopt;
+    const proto::PayloadBuf &payload = msg.payload();
+    if (_objKeyOffset + _objKeyLen > payload.size()) {
+        // Request without a key at the configured position (e.g. a
+        // control RPC): fall back to flow 0 deterministically.
+        return 0u;
+    }
+    return static_cast<unsigned>(
+        objectKeyHash(payload.data() + _objKeyOffset, _objKeyLen) % flows);
 }
 
 void

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ic/cci_fabric.hh"
@@ -27,7 +28,6 @@
 #include "net/tor_switch.hh"
 #include "nic/config.hh"
 #include "nic/connection_manager.hh"
-#include "nic/load_balancer.hh"
 #include "nic/pipeline.hh"
 #include "nic/request_buffer.hh"
 #include "proto/wire.hh"
@@ -70,7 +70,11 @@ class DaggerNic
     SoftConfig &softConfig() { return _soft; }
     const SoftConfig &softConfig() const { return _soft; }
 
-    /** Install an application-specific load balancer (§5.7, MICA). */
+    /**
+     * Place the key that Object-Level connections steer on (§5.7,
+     * MICA): @p key_len payload bytes from @p key_offset (default 0
+     * and 8).
+     */
     void setObjectLevelKey(std::size_t key_offset, std::size_t key_len);
 
     /** Install a protocol-unit extension (default: idle pass-through). */
@@ -151,7 +155,10 @@ class DaggerNic
     // --- TX path (network -> host) ---
     void onNetReceive(net::Packet pkt);
     void steerMessage(std::vector<proto::Frame> frames);
-    unsigned pickFlow(const proto::RpcMessage &msg, const ConnTuple &tuple);
+    /** The flow a request joins under its connection's scheme;
+     *  nullopt if an Object-Level request does not reassemble. */
+    std::optional<unsigned> pickFlow(const std::vector<proto::Frame> &frames,
+                                     const ConnTuple &tuple);
     void maybePost(unsigned flow);
     void issuePost(unsigned flow, std::size_t frames);
     void armPostTimeout(unsigned flow);
@@ -173,9 +180,11 @@ class DaggerNic
     sim::SlotTable<std::vector<proto::Frame>> _batches;
     PacketMonitor _monitor;
     std::unique_ptr<ProtocolUnit> _protocol;
-    std::unique_ptr<LoadBalancer> _rrLb;
-    std::unique_ptr<LoadBalancer> _staticLb;
-    std::unique_ptr<LoadBalancer> _objLb;
+    /// round-robin cursor, shared by every round-robin connection
+    unsigned _rrNext = 0;
+    /// where Object-Level connections find the key in a payload
+    std::size_t _objKeyOffset = 0;
+    std::size_t _objKeyLen = 8;
     std::uint64_t _fetchesInWindow = 0;
     sim::Tick _lastPollEval = 0;
     /// in-order egress pipeline head

@@ -1,6 +1,6 @@
 #include "nic/load_balancer.hh"
 
-#include "sim/logging.hh"
+#include "nic/config.hh"
 
 namespace dagger::nic {
 
@@ -19,7 +19,7 @@ lbSchemeName(LbScheme scheme)
 }
 
 std::uint64_t
-ObjectLevelLb::hashKey(const std::uint8_t *data, std::size_t len)
+objectKeyHash(const std::uint8_t *data, std::size_t len)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < len; ++i) {
@@ -27,35 +27,6 @@ ObjectLevelLb::hashKey(const std::uint8_t *data, std::size_t len)
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-unsigned
-ObjectLevelLb::pick(const proto::RpcMessage &msg, const ConnTuple &,
-                    unsigned flows)
-{
-    const auto &payload = msg.payload();
-    if (_keyOffset + _keyLen > payload.size()) {
-        // Request without a key at the configured position (e.g. a
-        // control RPC): fall back to flow 0 deterministically.
-        return 0;
-    }
-    return static_cast<unsigned>(
-        hashKey(payload.data() + _keyOffset, _keyLen) % flows);
-}
-
-std::unique_ptr<LoadBalancer>
-makeLoadBalancer(LbScheme scheme, std::size_t key_offset,
-                 std::size_t key_len)
-{
-    switch (scheme) {
-      case LbScheme::RoundRobin:
-        return std::make_unique<RoundRobinLb>();
-      case LbScheme::Static:
-        return std::make_unique<StaticLb>();
-      case LbScheme::ObjectLevel:
-        return std::make_unique<ObjectLevelLb>(key_offset, key_len);
-    }
-    dagger_panic("unknown LB scheme");
 }
 
 } // namespace dagger::nic

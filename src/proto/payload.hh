@@ -21,16 +21,15 @@
  *
  * Real byte copies happen only at the API edges (message construction,
  * payloadAs() delivery) and in FaultInjector::corrupt's copy-on-write;
- * the global counters below make that auditable: bytes_copied must stay
- * O(payload) per RPC no matter how many hops the frames take, while
- * handle_passes grows with hop count.
+ * the per-thread counters below make that auditable: bytes_copied must
+ * stay O(payload) per RPC no matter how many hops the frames take,
+ * while handle_passes grows with hop count.
  */
 
 #ifndef DAGGER_PROTO_PAYLOAD_HH
 #define DAGGER_PROTO_PAYLOAD_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -57,59 +56,40 @@ constexpr std::size_t kFramePayload = kCacheLineBytes - kHeaderBytes;
  */
 constexpr std::size_t kMaxPayloadBytes = 0xffff;
 
-namespace detail {
-/**
- * Per-thread data-path copy accounting.  A handle pass happens for
- * every frame of every hop, so the increment must not cost a
- * lock-prefixed RMW; each thread owns a cell and bumps it with
- * single-writer load+store (plain MOVs on x86), while payloadStats()
- * sums the cells with atomic loads (race-free under TSan).
- */
-struct PayloadCounterCell
-{
-    std::atomic<std::uint64_t> bytesCopied{0};
-    std::atomic<std::uint64_t> handlePasses{0};
-};
-
-/** Create and register a fresh cell owned by the global registry. */
-PayloadCounterCell &registerPayloadCounterCell();
-
-/** This thread's cell (registered on first use, kept past exit). */
-inline PayloadCounterCell &
-payloadCounterCell()
-{
-    // Cache the raw pointer per thread so the increment below inlines
-    // to a guard check plus two MOVs — no call on the data path.
-    thread_local PayloadCounterCell *cell = &registerPayloadCounterCell();
-    return *cell;
-}
-
-inline void
-addBytesCopied(std::uint64_t n)
-{
-    auto &c = payloadCounterCell().bytesCopied;
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
-}
-
-inline void
-addHandlePass()
-{
-    auto &c = payloadCounterCell().handlePasses;
-    c.store(c.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-}
-} // namespace detail
-
-/** Snapshot of the payload data-path counters. */
+/** The payload data-path counters. */
 struct PayloadStats
 {
     std::uint64_t bytesCopied = 0;  ///< real payload bytes memcpy'd
     std::uint64_t handlePasses = 0; ///< buffer handles copied instead
 };
 
-/** Read the process-wide counters (monotonic; diff two snapshots). */
-PayloadStats payloadStats();
+namespace detail {
+/**
+ * This thread's counters.  A handle pass happens for every frame of
+ * every hop, so the increment is a plain add; a system runs on one
+ * thread, so per-thread counts are exact and no thread reads another's.
+ */
+inline thread_local PayloadStats payloadCounters;
+
+inline void
+addBytesCopied(std::uint64_t n)
+{
+    payloadCounters.bytesCopied += n;
+}
+
+inline void
+addHandlePass()
+{
+    ++payloadCounters.handlePasses;
+}
+} // namespace detail
+
+/** Snapshot of this thread's counters (monotonic; diff two snapshots). */
+inline PayloadStats
+payloadStats()
+{
+    return detail::payloadCounters;
+}
 
 /**
  * Immutable refcounted flat payload buffer with small-buffer-optimized

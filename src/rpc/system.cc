@@ -1,6 +1,5 @@
 #include "rpc/system.hh"
 
-#include "proto/payload.hh"
 #include "sim/logging.hh"
 
 namespace dagger::rpc {
@@ -40,15 +39,22 @@ DaggerSystem::DaggerSystem(ic::IfaceKind iface, ic::UpiCost upi,
     rel.intGauge("spurious_arms",
                  [this] { return _reliability.spuriousArms; });
     rel.intGauge("resend_drops", [this] { return _reliability.resendDrops; });
-    // Payload-path traffic accounting.  The counters are
-    // process-global (proto::payloadStats()), not per-system: they
-    // prove the zero-copy invariant — bytes_copied stays O(payload)
-    // per RPC while handle_passes grows with hop count.
+    // Payload-path traffic accounting: the payload work done on this
+    // system's thread since the system was built (a system runs on one
+    // thread, and gauges are read on it).  They prove the zero-copy
+    // invariant — bytes_copied stays O(payload) per RPC while
+    // handle_passes grows with hop count.
     sim::MetricScope pay = root.sub("sim").sub("payload");
     pay.intGauge("bytes_copied",
-                 [] { return proto::payloadStats().bytesCopied; });
+                 [this] {
+                     return proto::payloadStats().bytesCopied -
+                         _payloadAtStart.bytesCopied;
+                 });
     pay.intGauge("handle_passes",
-                 [] { return proto::payloadStats().handlePasses; });
+                 [this] {
+                     return proto::payloadStats().handlePasses -
+                         _payloadAtStart.handlePasses;
+                 });
 }
 
 FlowRings &

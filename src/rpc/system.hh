@@ -20,6 +20,7 @@
 #include "ic/cci_fabric.hh"
 #include "net/tor_switch.hh"
 #include "nic/dagger_nic.hh"
+#include "proto/payload.hh"
 #include "rpc/cpu.hh"
 #include "rpc/rings.hh"
 #include "rpc/sw_cost.hh"
@@ -158,6 +159,8 @@ class DaggerSystem
     SwCost _swCost;
     std::vector<std::unique_ptr<DaggerNode>> _nodes;
     std::vector<ConnRecord> _conns; // index = ConnId - 1
+    /// this thread's payload counters when the system was built
+    proto::PayloadStats _payloadAtStart = proto::payloadStats();
 };
 
 } // namespace dagger::rpc

@@ -96,7 +96,7 @@ TEST(MicaHashedPath, MatchesKeyOnlyApiAndBackendCosts)
         const auto thread = static_cast<unsigned>(callers.range(2 * kParts));
         const unsigned caller = thread % kParts;
         const std::uint64_t h = micaKeyHash(op.key);
-        ASSERT_EQ(h, nic::ObjectLevelLb::hashKey(
+        ASSERT_EQ(h, nic::objectKeyHash(
                          reinterpret_cast<const std::uint8_t *>(
                              op.key.data()),
                          op.key.size()));

@@ -13,7 +13,7 @@
 
 #include "app/mica.hh"
 #include "app/workload.hh"
-#include "nic/load_balancer.hh"
+#include "tests/nic/steering_rig.hh"
 
 namespace {
 
@@ -139,18 +139,23 @@ TEST(MicaPartition, LossyIndexDisplacesUnderPressure)
 
 TEST(MicaKvs, PartitioningMatchesNicLoadBalancer)
 {
+    // Each key is sent to a 4-flow server NIC over an Object-Level
+    // connection; the RX ring it lands in is its owning partition.
     MicaKvs kvs(4, 1 << 16, 1 << 8);
-    dagger::nic::ObjectLevelLb lb(0, 8);
+    dagger::test::SteeringRig rig(4);
+    const auto conn = rig.connect(dagger::nic::LbScheme::ObjectLevel);
+    std::set<unsigned> flows;
     for (int i = 0; i < 200; ++i) {
         char key[9];
         std::snprintf(key, sizeof(key), "k%07d", i);
-        dagger::proto::RpcMessage msg(1, 1, 1,
-                                      dagger::proto::MsgType::Request, key,
-                                      8);
+        const int flow = rig.send(conn, key, 8);
+        ASSERT_GE(flow, 0) << key;
         EXPECT_EQ(kvs.partitionOf(std::string_view(key, 8)),
-                  lb.pick(msg, dagger::nic::ConnTuple{}, 4))
+                  static_cast<unsigned>(flow))
             << key;
+        flows.insert(static_cast<unsigned>(flow));
     }
+    EXPECT_EQ(flows.size(), 4u);
 }
 
 TEST(MicaKvs, CrossPartitionAccessCountedButCorrect)

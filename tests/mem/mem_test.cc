@@ -44,7 +44,21 @@ TEST(DirectMappedCache, ReinsertSameKeyIsNotEviction)
     c.insert(3, 1);
     EXPECT_FALSE(c.insert(3, 2).has_value());
     EXPECT_EQ(c.evictions(), 0u);
-    EXPECT_EQ(*c.peek(3), 2);
+    EXPECT_EQ(*c.lookup(3), 2);
+}
+
+TEST(DirectMappedCache, ResidentKeyNamesTheSlotHolder)
+{
+    DirectMappedCache<int> c(8);
+    EXPECT_FALSE(c.residentKey(9).has_value());
+    c.insert(1, 10);
+    // 1 and 9 share set 1: 9's slot holds 1.
+    EXPECT_EQ(c.residentKey(9), std::optional<std::uint64_t>(1));
+    EXPECT_EQ(c.residentKey(1), std::optional<std::uint64_t>(1));
+    EXPECT_FALSE(c.residentKey(2).has_value());
+    EXPECT_EQ(c.hits() + c.misses(), 0u);
+    c.erase(1);
+    EXPECT_FALSE(c.residentKey(9).has_value());
 }
 
 TEST(DirectMappedCache, HitRateTracksAccesses)
@@ -77,14 +91,6 @@ TEST(Hcc, MissThenHit)
     EXPECT_EQ(hcc.access(7), 0u);
     EXPECT_EQ(hcc.hits(), 1u);
     EXPECT_EQ(hcc.misses(), 1u);
-}
-
-TEST(Hcc, InvalidateForcesRefill)
-{
-    Hcc hcc;
-    hcc.access(3);
-    hcc.invalidate(3);
-    EXPECT_GT(hcc.access(3), 0u);
 }
 
 } // namespace

@@ -7,13 +7,17 @@
  * how many frames the message spans or how many hops the frames take.
  * Handle passes, by contrast, scale with the hop/frame count.
  *
- * The proto::payloadStats() counters are process-global and monotonic;
- * every measurement below is a delta across one run.
+ * The proto::payloadStats() counters are per-thread and monotonic;
+ * every measurement below is a delta across one run.  A system's
+ * sim.payload.* gauges count only the payload work of its own thread
+ * since the system was built.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <thread>
+#include <utility>
 
 #include "bench/harness.hh"
 #include "proto/payload.hh"
@@ -93,6 +97,53 @@ TEST(PayloadCopies, HandlePassesDominateCopiesOnTheHotPath)
     const RunStats r = runEcho(480); // 10 frames
     EXPECT_GT(r.passesPerRpc, 4.0);
     EXPECT_LE(r.bytesPerRpc, 480.0 * 1.1);
+}
+
+/** A system's sim.payload.{bytes_copied,handle_passes} gauges. */
+std::pair<std::uint64_t, std::uint64_t>
+payloadGauges(const rpc::DaggerSystem &sys)
+{
+    std::pair<std::uint64_t, std::uint64_t> out{};
+    for (const auto &e : sys.metrics().entries()) {
+        if (e.name == "sim.payload.bytes_copied")
+            out.first = e.intGauge();
+        else if (e.name == "sim.payload.handle_passes")
+            out.second = e.intGauge();
+    }
+    return out;
+}
+
+TEST(DaggerSystem, PayloadGaugesCountOnlyTheirOwnThread)
+{
+    bench::EchoRig::Options opt;
+    opt.payload = 480;
+    const auto run = [](bench::EchoRig &rig) {
+        rig.saturate(8, sim::msToTicks(0.2), sim::msToTicks(1));
+    };
+
+    bench::EchoRig a(opt);
+    run(a);
+    const auto a_gauges = payloadGauges(a.system());
+    EXPECT_GT(a_gauges.first, 0u);
+    EXPECT_GT(a_gauges.second, 0u);
+
+    // The same deployment on another thread leaves A's gauges alone.
+    std::pair<std::uint64_t, std::uint64_t> b_gauges{};
+    std::thread worker([&] {
+        bench::EchoRig b(opt);
+        run(b);
+        b_gauges = payloadGauges(b.system());
+    });
+    worker.join();
+    EXPECT_EQ(payloadGauges(a.system()), a_gauges);
+
+    // A system built after A's run starts from zero and counts exactly
+    // its own run: the same numbers B counted on its thread.
+    bench::EchoRig c(opt);
+    EXPECT_EQ(payloadGauges(c.system()),
+              (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+    run(c);
+    EXPECT_EQ(payloadGauges(c.system()), b_gauges);
 }
 
 } // namespace
