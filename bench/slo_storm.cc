@@ -127,14 +127,14 @@ runFlightRow(const FlightRow &row, const StormScale &scale)
         faults.back()->install(sys.tor().attach(node.id()));
     };
     if (row.lossBothDirs > 0 || row.flapLen > 0) {
-        inject(app.checkinTier().node(), row.lossBothDirs, row.flapLen,
-               row.seed * 2 + 1);
+        inject(app.tier(svc::FlightTier::Checkin).node(), row.lossBothDirs,
+               row.flapLen, row.seed * 2 + 1);
         inject(app.passengerClient().node(), row.lossBothDirs, 0,
                row.seed * 2 + 2);
     }
     if (row.lossToFlight > 0)
-        inject(app.flightTier().node(), row.lossToFlight, 0,
-               row.seed * 2 + 3);
+        inject(app.tier(svc::FlightTier::Flight).node(), row.lossToFlight,
+               0, row.seed * 2 + 3);
 
     svc::FlightStormSpec storm;
     storm.clients = scale.clients;
@@ -169,7 +169,8 @@ runFlightRow(const FlightRow &row, const StormScale &scale)
         ? 0.0
         : static_cast<double>(app.completedDegraded()) /
             static_cast<double>(app.completed());
-    r.shed = static_cast<double>(app.flightTier().shedCalls());
+    r.shed =
+        static_cast<double>(app.tier(svc::FlightTier::Flight).shedCalls());
     r.timeouts = static_cast<double>(app.stormTimeouts());
     r.retries = static_cast<double>(cli.retriesSent());
     r.spurious_arms = static_cast<double>(cli.spuriousArms());
@@ -190,7 +191,7 @@ runSnRow(const SnRow &row, const StormScale &scale)
     svc::SnStormSpec storm;
     storm.clients = scale.clients;
     storm.cohorts = 64;
-    storm.offeredQps = row.qps;
+    storm.offeredRps = row.qps;
     storm.duration = scale.snDuration;
     storm.drain = scale.snDrain;
     // Admission cap: past 24 in-flight requests compose posts shed

@@ -50,7 +50,7 @@ probe(ThreadingModel model, double krps, sim::Tick duration)
     r.p99 = sim::ticksToUs(app.e2eLatency().percentile(99));
     r.drop_rate = app.dropRate();
     r.completed = app.completed();
-    r.bottleneck = app.tracer().bottleneck();
+    r.bottleneck = app.bottleneck().name();
     return r;
 }
 

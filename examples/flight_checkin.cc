@@ -1,9 +1,9 @@
 /**
  * @file
  * The 8-tier Flight Registration microservice application of §5.7,
- * run end-to-end over virtualized Dagger NICs, with the request
- * tracer identifying the bottleneck tier and the two threading
- * models compared side by side (Table 4).
+ * run end-to-end over virtualized Dagger NICs, with each tier's
+ * service histogram identifying the bottleneck tier and the two
+ * threading models compared side by side (Table 4).
  *
  * Build & run:  ./build/examples/flight_checkin
  */
@@ -32,10 +32,14 @@ runModel(dagger::svc::ThreadingModel model, const char *label, double krps)
                 sim::ticksToUs(app.e2eLatency().percentile(50)),
                 sim::ticksToUs(app.e2eLatency().percentile(90)),
                 sim::ticksToUs(app.e2eLatency().percentile(99)));
-    std::printf("  tracer bottleneck: %s\n",
-                app.tracer().bottleneck().c_str());
-    for (const auto &[name, hist] : app.tracer().all()) {
-        std::printf("    span %-14s n=%-6llu mean=%.1f us\n", name.c_str(),
+    std::printf("  bottleneck tier: %s\n", app.bottleneck().name().c_str());
+    for (unsigned t = 0; t < svc::kFlightTiers; ++t) {
+        svc::Tier &tier = app.tier(static_cast<svc::FlightTier>(t));
+        const sim::Histogram &hist = tier.service();
+        if (hist.count() == 0)
+            continue; // the MICA tiers' KvsServers record no service
+        std::printf("    tier %-10s n=%-6llu mean=%.1f us\n",
+                    tier.name().c_str(),
                     static_cast<unsigned long long>(hist.count()),
                     hist.mean() / 1e6);
     }

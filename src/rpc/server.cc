@@ -5,9 +5,7 @@
 namespace dagger::rpc {
 
 WorkerPool::WorkerPool(DaggerSystem &sys, std::vector<HwThread *> workers)
-    : _sys(sys), _workers(std::move(workers)),
-      _eq(_workers.empty() ? sys.eq()
-                           : _workers.front()->core().eventQueue())
+    : _sys(sys), _workers(std::move(workers))
 {
     dagger_assert(!_workers.empty(), "worker pool needs threads");
 }
@@ -19,7 +17,7 @@ WorkerPool::submit(sim::Tick cost, sim::EventFn fn)
     ++_inflight;
     const sim::Tick delay = _sys.swCost().workerHandoffDelay;
     _handoff.push_back(Handoff{cost, std::move(fn)});
-    _eq.schedule(delay, [this] { dispatchOne(); });
+    _sys.eq().schedule(delay, [this] { dispatchOne(); });
 }
 
 void

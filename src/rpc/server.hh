@@ -103,8 +103,6 @@ class WorkerPool
 
     DaggerSystem &_sys;
     std::vector<HwThread *> _workers;
-    /** Queue the handoff events run on. */
-    sim::EventQueue &_eq;
     /** Work waiting out the handoff delay.  Parked here so each
      *  scheduled handoff event captures only `this`; the fixed delay
      *  makes event order == submit order == queue order (FIFO). */

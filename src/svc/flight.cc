@@ -39,6 +39,22 @@ keyFor(std::uint64_t pid)
 /** Pre-seeded Citizens records. */
 constexpr std::uint64_t kCitizens = 200'000;
 
+/** Fig. 13's calls between tiers {caller, callee}, in connection
+ *  order.  Each callee has one caller tier. */
+constexpr std::pair<FlightTier, FlightTier> kCalls[] = {
+    {FlightTier::Checkin, FlightTier::Flight},
+    {FlightTier::Checkin, FlightTier::Baggage},
+    {FlightTier::Checkin, FlightTier::Passport},
+    {FlightTier::Checkin, FlightTier::Airport},
+    {FlightTier::Passport, FlightTier::Citizens},
+};
+
+constexpr unsigned
+idx(FlightTier t)
+{
+    return static_cast<unsigned>(t);
+}
+
 } // namespace
 
 FlightApp::FlightApp(FlightConfig cfg)
@@ -56,33 +72,35 @@ FlightApp::buildTiers()
     nic::SoftConfig soft;
     soft.autoBatch = true; // latency-sensitive tiers: no batch waits
 
+    // Fig. 13's tiers, indexed by FlightTier: name and worker threads
+    // in the Optimized model.  The pools are the whole threading-model
+    // switch.  Each tier owns its cores: dispatch on core 0, workers on
+    // cores 1+.
+    const std::pair<const char *, unsigned> tiers[kFlightTiers] = {
+        {"checkin", 1},  {"flight", std::max(1u, _cfg.flightWorkers)},
+        {"baggage", 0},  {"passport", 1},
+        {"airport", 0},  {"citizens", 0},
+    };
     const bool optimized = _cfg.model == ThreadingModel::Optimized;
-
-    // Tiers (server flow + downstream client flows).  Each tier owns
-    // its cores: dispatch on core 0, any worker threads on cores 1+.
-    _checkin = std::make_unique<Tier>(_sys, "checkin", 4,
-                                      optimized ? 2u : 1u,
-                                      nic::NicConfig{}, soft);
-    _flight = std::make_unique<Tier>(
-        _sys, "flight", 0,
-        optimized ? 1u + std::max(1u, _cfg.flightWorkers) : 1u,
-        nic::NicConfig{}, soft);
-    _baggage = std::make_unique<Tier>(_sys, "baggage", 0, 1u,
-                                      nic::NicConfig{}, soft);
-    _passport = std::make_unique<Tier>(_sys, "passport", 1,
-                                       optimized ? 2u : 1u,
-                                       nic::NicConfig{}, soft);
-    _airport = std::make_unique<Tier>(_sys, "airport", 0, 1u,
-                                      nic::NicConfig{}, soft);
-    _citizens = std::make_unique<Tier>(_sys, "citizens", 0, 1u,
-                                       nic::NicConfig{}, soft);
+    for (unsigned i = 0; i < kFlightTiers; ++i) {
+        unsigned downstreams = 0;
+        for (const auto &[caller, callee] : kCalls)
+            downstreams += idx(caller) == i;
+        const unsigned workers = optimized ? tiers[i].second : 0;
+        _tiers[i] = std::make_unique<Tier>(_sys, tiers[i].first, downstreams,
+                                           1 + workers, nic::NicConfig{},
+                                           soft);
+        if (workers > 0)
+            _tiers[i]->useWorkerPool(workers);
+    }
 
     // Reliability knobs (off by default; the storm benches set them).
     if (_cfg.checkinLegBudget > 0)
-        _checkin->setTimeoutBudget(_cfg.checkinLegBudget,
-                                   _cfg.checkinLegRetries);
+        tier(FlightTier::Checkin)
+            .setTimeoutBudget(_cfg.checkinLegBudget, _cfg.checkinLegRetries);
     if (_cfg.flightShedQueue > 0)
-        _flight->setShedPolicy(rpc::ShedPolicy{_cfg.flightShedQueue});
+        tier(FlightTier::Flight)
+            .setShedPolicy(rpc::ShedPolicy{_cfg.flightShedQueue});
 
     // Stores: single-partition MICA caches behind the two DB tiers.
     _airportStore = std::make_unique<app::MicaKvs>(1, 16u << 20, 1u << 15);
@@ -92,220 +110,136 @@ FlightApp::buildTiers()
 
     _airportBackend = std::make_unique<app::MicaBackend>(*_airportStore);
     _citizensBackend = std::make_unique<app::MicaBackend>(*_citizensStore);
-    _airportSrv = std::make_unique<app::KvsServer>(_airport->server(),
-                                                   *_airportBackend);
-    _citizensSrv = std::make_unique<app::KvsServer>(_citizens->server(),
-                                                    *_citizensBackend);
+    _airportSrv = std::make_unique<app::KvsServer>(
+        tier(FlightTier::Airport).server(), *_airportBackend);
+    _citizensSrv = std::make_unique<app::KvsServer>(
+        tier(FlightTier::Citizens).server(), *_citizensBackend);
 
     // Downstream connections (static LB: each tier has one server flow).
-    _toFlight = &_checkin->connectTo(*_flight, nic::LbScheme::Static);
-    _toBaggage = &_checkin->connectTo(*_baggage, nic::LbScheme::Static);
-    _toPassport = &_checkin->connectTo(*_passport, nic::LbScheme::Static);
-    auto &airport_client =
-        _checkin->connectTo(*_airport, nic::LbScheme::Static);
-    _toAirport = std::make_unique<app::KvsClient>(airport_client);
-    auto &citizens_client =
-        _passport->connectTo(*_citizens, nic::LbScheme::Static);
-    _toCitizens = std::make_unique<app::KvsClient>(citizens_client);
+    for (const auto &[caller, callee] : kCalls)
+        _clientTo[idx(callee)] =
+            &tier(caller).connectTo(tier(callee), nic::LbScheme::Static);
+    _toAirport =
+        std::make_unique<app::KvsClient>(*_clientTo[idx(FlightTier::Airport)]);
+    _toCitizens = std::make_unique<app::KvsClient>(
+        *_clientTo[idx(FlightTier::Citizens)]);
 
     // Front-ends: client-only nodes, each with its own core.
     nic::NicConfig fe_cfg;
     fe_cfg.numFlows = 1;
-    _passengerNode = &_sys.addNode(fe_cfg, soft);
-    _passengerCpus =
-        std::make_unique<rpc::CpuSet>(_passengerNode->eq(), 1);
-    _passengerClient = std::make_unique<rpc::RpcClient>(
-        *_passengerNode, 0, _passengerCpus->core(0).thread(0));
-    _passengerClient->setConnection(_sys.connect(
-        *_passengerNode, 0, _checkin->node(), 0, nic::LbScheme::Static));
-
-    _staffNode = &_sys.addNode(fe_cfg, soft);
-    _staffCpus = std::make_unique<rpc::CpuSet>(_staffNode->eq(), 1);
-    _staffClient = std::make_unique<rpc::RpcClient>(
-        *_staffNode, 0, _staffCpus->core(0).thread(0));
-    _staffClient->setConnection(_sys.connect(
-        *_staffNode, 0, _airport->node(), 0, nic::LbScheme::Static));
+    auto front_end = [&](std::unique_ptr<rpc::CpuSet> &cpus, FlightTier to) {
+        rpc::DaggerNode &node = _sys.addNode(fe_cfg, soft);
+        cpus = std::make_unique<rpc::CpuSet>(_sys.eq(), 1);
+        auto client = std::make_unique<rpc::RpcClient>(
+            node, 0, cpus->core(0).thread(0));
+        client->setConnection(_sys.connect(node, 0, tier(to).node(), 0,
+                                           nic::LbScheme::Static));
+        return client;
+    };
+    _passengerClient = front_end(_passengerCpus, FlightTier::Checkin);
+    _staffClient = front_end(_staffCpus, FlightTier::Airport);
     _staffKvs = std::make_unique<app::KvsClient>(*_staffClient);
-
-    // Optimized threading: worker pools for the long-running services.
-    if (optimized) {
-        _flight->useWorkerPool(std::max(1u, _cfg.flightWorkers));
-        // Check-in and Passport keep their dispatch loops free by
-        // running their request processing (the nested-call
-        // orchestration) on workers — handlers submit to these pools
-        // explicitly since the work completes asynchronously.
-        _pools.push_back(std::make_unique<rpc::WorkerPool>(
-            _sys, std::vector<rpc::HwThread *>{
-                      &_checkin->ownCore(1).thread(0)}));
-        _pools.push_back(std::make_unique<rpc::WorkerPool>(
-            _sys, std::vector<rpc::HwThread *>{
-                      &_passport->ownCore(1).thread(0)}));
-    }
 }
 
 void
 FlightApp::installHandlers()
 {
-    const bool simple = _cfg.model == ThreadingModel::Simple;
-
-    // Flight: bimodal compute, the bottleneck tier (§5.7).  The draw
-    // comes from _costRng: the classic interleaved stream under run(),
-    // the flight tier's own stream in storm mode.
-    _flight->serverThread().registerHandler(
-        kProcess, [this](const proto::RpcMessage &req) {
+    // Flight and Baggage: leaf compute.  Flight's is bimodal, the
+    // bottleneck tier (§5.7); its draw comes from _costRng, the classic
+    // interleaved stream under run(), its own stream in storm mode.
+    for (FlightTier t : {FlightTier::Flight, FlightTier::Baggage})
+        tier(t).serve(kProcess, [this, t](const proto::RpcMessage &req) {
             rpc::HandlerOutcome out;
             TierReq r{};
             if (!req.payloadAs(r)) {
                 out.respond = false;
                 return out;
             }
-            out.cost = _costRng->chance(_cfg.flightCheapFraction)
-                ? _cfg.flightCheapCost
-                : _cfg.flightExpensiveCost;
-            _flight->tracer().record("flight", out.cost);
-            TierResp resp{r.passengerId, kOk};
-            out.response = proto::PayloadBuf::ofPod(resp);
+            if (t == FlightTier::Baggage)
+                out.cost = _cfg.baggageCost;
+            else if (_costRng->chance(_cfg.flightCheapFraction))
+                out.cost = _cfg.flightCheapCost;
+            else
+                out.cost = _cfg.flightExpensiveCost;
+            out.response =
+                proto::PayloadBuf::ofPod(TierResp{r.passengerId, kOk});
             return out;
         });
 
-    // Baggage: plain compute.
-    _baggage->serverThread().registerHandler(
-        kProcess, [this](const proto::RpcMessage &req) {
-            rpc::HandlerOutcome out;
-            TierReq r{};
-            if (!req.payloadAs(r)) {
-                out.respond = false;
-                return out;
-            }
-            out.cost = _cfg.baggageCost;
-            _baggage->tracer().record("baggage", out.cost);
-            TierResp resp{r.passengerId, kOk};
-            out.response = proto::PayloadBuf::ofPod(resp);
-            return out;
-        });
-
-    // Passport: nested blocking call into the Citizens cache.  Under
-    // a timeout budget a stranded lookup serves the passport check
-    // degraded instead of hanging the tier.
-    _passport->serverThread().registerHandler(
-        kProcess, [this, simple](const proto::RpcMessage &req) {
-            rpc::HandlerOutcome out;
-            out.respond = false;
+    // Passport: nested call into the Citizens cache.  Under a timeout
+    // budget a stranded lookup serves the passport check degraded
+    // instead of hanging the tier.
+    tier(FlightTier::Passport)
+        .serveDeferred(kProcess, [this](const proto::RpcMessage &req,
+                                        const Tier::Pending &pending) {
             TierReq r{};
             if (!req.payloadAs(r))
-                return out;
-            if (simple)
-                _passport->serverThread().pause();
-            const sim::Tick t0 = _passport->node().eq().now();
-            const auto conn = req.connId();
-            const auto rpc_id = req.rpcId();
-            const auto fn = req.fnId();
+                return Tier::Deferred{};
             const std::uint64_t pid = r.passengerId;
-            _passport->tracer().record("passport", _cfg.passportCost);
-            auto do_lookup = [this, simple, conn, rpc_id, fn, pid, t0] {
+            auto lookup = [this, pending, pid] {
                 _toCitizens->getChecked(
-                    keyFor(pid),
-                    [this, simple, conn, rpc_id, fn, pid,
-                     t0](rpc::CallStatus st, bool hit, std::string_view) {
+                    keyFor(pid), [this, pending, pid](rpc::CallStatus st,
+                                                      bool hit,
+                                                      std::string_view) {
                         const std::uint32_t status =
                             st != rpc::CallStatus::Ok ? kDegraded
                             : hit                     ? kOk
                                                       : 0u;
                         TierResp resp{pid, status};
-                        _passport->serverThread().respondLater(
-                            conn, rpc_id, fn, &resp, sizeof(resp));
-                        _passport->tracer().record(
-                            "passport.wall",
-                            _passport->node().eq().now() - t0);
-                        if (simple)
-                            _passport->serverThread().resume();
+                        tier(FlightTier::Passport)
+                            .reply(pending, &resp, sizeof(resp));
                     });
             };
-            if (simple) {
-                out.cost = _cfg.passportCost;
-                do_lookup();
-            } else {
-                // Optimized: request processing moves to the worker.
-                _pools.at(1)->submit(_cfg.passportCost,
-                                     std::move(do_lookup));
-            }
-            return out;
+            return Tier::Deferred{_cfg.passportCost, std::move(lookup)};
         });
 
     // Check-in: fan-out to Flight/Baggage/Passport, then register in
     // the Airport cache, then answer the front-end.  Legs are status
     // tracked: under a timeout budget an exhausted leg marks the
     // registration degraded instead of stalling it forever.
-    _checkin->serverThread().registerHandler(
-        kProcess, [this, simple](const proto::RpcMessage &req) {
-            rpc::HandlerOutcome out;
-            out.respond = false;
+    tier(FlightTier::Checkin)
+        .serveDeferred(kProcess, [this](const proto::RpcMessage &req,
+                                        const Tier::Pending &pending) {
             TierReq r{};
             if (!req.payloadAs(r))
-                return out;
-            if (simple)
-                _checkin->serverThread().pause();
-            _checkin->tracer().record("checkin", _cfg.checkinCost);
-
+                return Tier::Deferred{};
             struct Fanout
             {
-                int remaining = 3;
-                bool degraded = false;
-                proto::ConnId conn;
-                proto::RpcId rpc;
-                proto::FnId fn;
+                int remaining;
+                bool degraded;
+                Tier::Pending pending;
                 std::uint64_t pid;
-                sim::Tick t0;
             };
-            auto state = std::make_shared<Fanout>();
-            state->conn = req.connId();
-            state->rpc = req.rpcId();
-            state->fn = req.fnId();
-            state->pid = r.passengerId;
-            state->t0 = _checkin->node().eq().now();
-
+            auto state = std::make_shared<Fanout>(
+                Fanout{3, false, pending, r.passengerId});
             // The leg continuation is built inside the fan-out so the
             // fan-out closure captures only what it needs and stays
             // within EventClosure's inline buffer on the worker pool.
-            auto do_fanout = [this, simple, state] {
-                auto on_part = [this, simple, state](
-                                   rpc::CallStatus st,
-                                   const proto::RpcMessage &m) {
+            auto fanout = [this, state] {
+                auto on_part = [this, state](rpc::CallStatus st,
+                                             const proto::RpcMessage &m) {
                     TierResp part{};
                     if (st != rpc::CallStatus::Ok ||
                         (m.payloadAs(part) && part.status == kDegraded))
                         state->degraded = true;
                     if (--state->remaining > 0)
                         return;
-                    // All three resolved: blocking call to the Airport DB.
+                    // All three resolved: register in the Airport DB.
                     _toAirport->set(
-                        keyFor(state->pid), "registered",
-                        [this, simple, state](bool) {
-                            TierResp resp{state->pid,
-                                          state->degraded ? kDegraded : kOk};
-                            _checkin->serverThread().respondLater(
-                                state->conn, state->rpc, state->fn, &resp,
-                                sizeof(resp));
-                            _checkin->tracer().record(
-                                "checkin.wall",
-                                _checkin->node().eq().now() - state->t0);
-                            if (simple)
-                                _checkin->serverThread().resume();
+                        keyFor(state->pid), "registered", [this, state](bool) {
+                            TierResp resp{state->pid, state->degraded
+                                                          ? kDegraded
+                                                          : kOk};
+                            tier(FlightTier::Checkin)
+                                .reply(state->pending, &resp, sizeof(resp));
                         });
                 };
-                TierReq fwd{state->pid};
-                _toFlight->callPodStatus(kProcess, fwd, on_part);
-                _toBaggage->callPodStatus(kProcess, fwd, on_part);
-                _toPassport->callPodStatus(kProcess, fwd, on_part);
+                const TierReq fwd{state->pid};
+                for (FlightTier leg : {FlightTier::Flight, FlightTier::Baggage,
+                                       FlightTier::Passport})
+                    _clientTo[idx(leg)]->callPodStatus(kProcess, fwd, on_part);
             };
-            if (simple) {
-                out.cost = _cfg.checkinCost;
-                do_fanout();
-            } else {
-                _pools.at(0)->submit(_cfg.checkinCost,
-                                     std::move(do_fanout));
-            }
-            return out;
+            return Tier::Deferred{_cfg.checkinCost, std::move(fanout)};
         });
 }
 
@@ -322,7 +256,7 @@ FlightApp::issuePassenger(sim::Tick t0)
                 ++_stormTimeouts;
                 return;
             }
-            _e2e.record(_passengerNode->eq().now() - t0);
+            _e2e.record(_sys.now() - t0);
             ++_completed;
             TierResp resp{};
             if (m.payloadAs(resp) && resp.status == kDegraded)
@@ -336,15 +270,13 @@ FlightApp::issueRegistration()
     if (_sys.eq().now() >= _stopAt)
         return;
     const double mean_gap_us = 1000.0 / _krps;
-    sim::EventQueue &eq = _passengerNode->eq();
     auto fire = [this] {
-        sim::EventQueue &eq = _passengerNode->eq();
-        if (eq.now() >= _stopAt)
+        if (_sys.now() >= _stopAt)
             return;
-        issuePassenger(eq.now());
+        issuePassenger(_sys.now());
         issueRegistration();
     };
-    eq.schedule(sim::usToTicks(_rng.exponential(mean_gap_us)),
+    _sys.eq().schedule(sim::usToTicks(_rng.exponential(mean_gap_us)),
                 std::move(fire));
 }
 
@@ -365,85 +297,54 @@ FlightApp::run(double krps, sim::Tick duration, sim::Tick drain)
 void
 FlightApp::startStaffDriver(sim::Rng &rng)
 {
-    if (_cfg.staffReadRate <= 0)
+    // Staff front-end: background async reads of Airport records (keys
+    // drawn over the citizen id space), one read scheduling the next.
+    // @p rng is the classic interleaved stream under run() and the
+    // staff-owned stream in storm mode.
+    if (_cfg.staffReadRate <= 0 || _sys.now() >= _stopAt)
         return;
-    // Staff front-end: background async reads of Airport records
-    // (keys drawn over the citizen id space).  @p rng is the classic
-    // interleaved stream under run() and the staff-owned stream in
-    // storm mode.
-    struct StaffDriver
-    {
-        FlightApp *app;
-        sim::Rng *rng;
-        void
-        operator()() const
-        {
-            FlightApp *a = app;
-            sim::Rng *r = rng;
-            sim::EventQueue &eq = a->_staffNode->eq();
-            if (eq.now() >= a->_stopAt)
+    const double mean_gap_us = 1e6 / _cfg.staffReadRate;
+    _sys.eq().schedule(
+        sim::usToTicks(rng.exponential(mean_gap_us)), [this, &rng] {
+            if (_sys.now() >= _stopAt)
                 return;
-            const double mean_gap_us = 1e6 / a->_cfg.staffReadRate;
-            eq.schedule(
-                sim::usToTicks(r->exponential(mean_gap_us)),
-                [a, r] {
-                    if (a->_staffNode->eq().now() >= a->_stopAt)
-                        return;
-                    const std::uint64_t pid = 1 + r->range(kCitizens);
-                    a->_staffKvs->get(keyFor(pid),
-                                      [a](bool, std::string_view) {
-                                          ++a->_staffReads;
-                                      });
-                    StaffDriver{a, r}();
-                });
-        }
-    };
-    StaffDriver{this, &rng}();
+            const std::uint64_t pid = 1 + rng.range(kCitizens);
+            _staffKvs->get(keyFor(pid), [this](bool, std::string_view) {
+                ++_staffReads;
+            });
+            startStaffDriver(rng);
+        });
 }
 
 void
 FlightApp::runStorm(const FlightStormSpec &spec)
 {
-    dagger_assert(spec.offeredRps > 0, "offered load must be positive");
     dagger_assert(!_storm, "runStorm called twice");
     // Storm mode draws from per-consumer streams: flight costs from
     // _flightRng, staff traffic from _staffRng, arrivals from the
-    // generator's cohorts.
+    // generator's cohorts.  Registration ids are monotonic, not
+    // Zipf-keyed.
     _costRng = &_flightRng;
     _stopAt = _sys.now() + spec.duration;
     if (spec.passengerRetry.enabled())
         _passengerClient->setRetryPolicy(spec.passengerRetry);
-
-    _storm = std::make_unique<app::OpenLoopGen>(_passengerNode->eq(),
-                                                _cfg.seed ^ 0x73746f726dull);
-    app::TenantSpec tenant;
-    tenant.name = "passengers";
-    tenant.clients = spec.clients;
-    tenant.cohorts = spec.cohorts;
-    tenant.perClientRps =
-        spec.offeredRps / static_cast<double>(spec.clients);
-    tenant.diurnal = spec.diurnal;
-    // Registration ids are monotonic, not Zipf-keyed: keep the unused
-    // per-cohort key machinery tiny (zeta init is O(keySpace)).
-    tenant.keySpace = 1024;
-    _storm->addTenant(tenant);
-    _storm->start(_stopAt, [this](const app::OpenLoopCall &) {
-        issuePassenger(_passengerNode->eq().now());
-    });
+    _storm = startStorm(_sys.eq(), _cfg.seed, spec, "passengers", 1.0, _stopAt,
+                        [this](const app::OpenLoopCall &) {
+                            issuePassenger(_sys.now());
+                        });
     startStaffDriver(_staffRng);
 
     _sys.runUntilTick(_stopAt + spec.drain);
 }
 
-Tracer &
-FlightApp::tracer()
+Tier &
+FlightApp::bottleneck()
 {
-    _tracer = Tracer();
-    for (Tier *t : {_checkin.get(), _flight.get(), _baggage.get(),
-                    _passport.get(), _airport.get(), _citizens.get()})
-        for (const auto &[name, hist] : t->tracer().all())
-            _tracer.span(name).merge(hist);
-    return _tracer;
+    Tier *worst = _tiers[0].get();
+    for (auto &t : _tiers)
+        if (t->service().mean() > worst->service().mean())
+            worst = t.get();
+    return *worst;
 }
 
 } // namespace dagger::svc

@@ -24,8 +24,8 @@
 #ifndef DAGGER_SVC_FLIGHT_HH
 #define DAGGER_SVC_FLIGHT_HH
 
+#include <array>
 #include <memory>
-#include <unordered_map>
 
 #include "app/adapters.hh"
 #include "app/kvs_service.hh"
@@ -34,6 +34,7 @@
 #include "rpc/client.hh"
 #include "rpc/system.hh"
 #include "sim/rng.hh"
+#include "svc/storm.hh"
 #include "svc/tier.hh"
 
 namespace dagger::svc {
@@ -81,18 +82,26 @@ struct FlightConfig
     std::uint64_t seed = 0x666c69676874ull;
 };
 
-/** Open-loop storm parameters (see app::OpenLoopGen). */
-struct FlightStormSpec
+/** Flight's open-loop storm (see svc::startStorm). */
+struct FlightStormSpec : StormSpec
 {
-    std::uint64_t clients = 1'048'576; ///< simulated passenger population
-    unsigned cohorts = 64;             ///< actors carrying it
-    double offeredRps = 10'000.0;      ///< aggregate peak arrival rate
-    sim::Tick duration = sim::msToTicks(200);
-    sim::Tick drain = sim::msToTicks(50);
-    app::DiurnalCurve diurnal;         ///< flat by default
+    FlightStormSpec() : StormSpec(10'000.0) {}
+
     /** Passenger-side retry/timeout policy (off by default). */
     rpc::RetryPolicy passengerRetry;
 };
+
+/** The six server tiers of Fig. 13, in build order. */
+enum class FlightTier : unsigned {
+    Checkin,
+    Flight,
+    Baggage,
+    Passport,
+    Airport,  ///< MICA-backed Airport cache
+    Citizens, ///< MICA-backed Citizens cache
+};
+
+constexpr unsigned kFlightTiers = 6;
 
 /** The deployed application. */
 class FlightApp
@@ -138,18 +147,17 @@ class FlightApp
     }
 
     /**
-     * Per-tier service-time tracing (§5.7 bottleneck analysis).
-     * Each tier records into its own tracer; this merges them into
-     * one aggregate view (rebuild on each call).
+     * The tier with the largest mean service cost (§5.7 bottleneck
+     * analysis over each tier's service histogram).
      */
-    Tracer &tracer();
+    Tier &bottleneck();
 
     rpc::DaggerSystem &system() { return _sys; }
-    Tier &checkinTier() { return *_checkin; }
-    Tier &flightTier() { return *_flight; }
+    Tier &tier(FlightTier t) { return *_tiers[static_cast<unsigned>(t)]; }
     rpc::RpcClient &passengerClient() { return *_passengerClient; }
     std::uint64_t staffReadsCompleted() const { return _staffReads; }
     app::MicaKvs &airportStore() { return *_airportStore; }
+    app::MicaKvs &citizensStore() { return *_citizensStore; }
 
   private:
     void buildTiers();
@@ -172,29 +180,19 @@ class FlightApp
     /** Which stream the flight handler draws costs from; runStorm()
      *  repoints it at _flightRng before traffic. */
     sim::Rng *_costRng = &_rng;
-    Tracer _tracer; ///< merged view, rebuilt by tracer()
 
-    // Tiers (Fig. 13); each owns its cores.
-    std::unique_ptr<Tier> _checkin;
-    std::unique_ptr<Tier> _flight;
-    std::unique_ptr<Tier> _baggage;
-    std::unique_ptr<Tier> _passport;
-    std::unique_ptr<Tier> _airport;  ///< MICA-backed Airport cache
-    std::unique_ptr<Tier> _citizens; ///< MICA-backed Citizens cache
+    /** Tiers (Fig. 13), indexed by FlightTier; each owns its cores. */
+    std::array<std::unique_ptr<Tier>, kFlightTiers> _tiers;
 
     // Front-ends (client-only nodes with their own single cores).
-    rpc::DaggerNode *_passengerNode = nullptr;
     std::unique_ptr<rpc::CpuSet> _passengerCpus;
     std::unique_ptr<rpc::RpcClient> _passengerClient;
-    rpc::DaggerNode *_staffNode = nullptr;
     std::unique_ptr<rpc::CpuSet> _staffCpus;
     std::unique_ptr<rpc::RpcClient> _staffClient;
     std::unique_ptr<app::KvsClient> _staffKvs;
 
-    // Downstream clients.
-    rpc::RpcClient *_toFlight = nullptr;
-    rpc::RpcClient *_toBaggage = nullptr;
-    rpc::RpcClient *_toPassport = nullptr;
+    /** Per tier, its one caller's client (null for Check-in). */
+    std::array<rpc::RpcClient *, kFlightTiers> _clientTo{};
     std::unique_ptr<app::KvsClient> _toAirport;
     std::unique_ptr<app::KvsClient> _toCitizens;
 
@@ -205,9 +203,6 @@ class FlightApp
     std::unique_ptr<app::MicaBackend> _citizensBackend;
     std::unique_ptr<app::KvsServer> _airportSrv;
     std::unique_ptr<app::KvsServer> _citizensSrv;
-
-    // Worker pools (Optimized model: check-in / passport nested work).
-    std::vector<std::unique_ptr<rpc::WorkerPool>> _pools;
 
     // Storm driver (runStorm only).
     std::unique_ptr<app::OpenLoopGen> _storm;

@@ -326,39 +326,25 @@ SocialNet::run(double qps, sim::Tick duration, sim::Tick drain)
 void
 SocialNet::runStorm(const SnStormSpec &spec)
 {
-    dagger_assert(spec.offeredQps > 0, "offered load must be positive");
     dagger_assert(!_storm, "runStorm called twice");
     _stopAt = _sys.eq().now() + spec.duration;
     _maxInflight = spec.maxInflight;
-
-    _storm = std::make_unique<app::OpenLoopGen>(_sys.eq(),
-                                                _cfg.seed ^ 0x73746f726dull);
-    app::TenantSpec tenant;
-    tenant.name = "users";
-    tenant.clients = spec.clients;
-    tenant.cohorts = spec.cohorts;
-    tenant.perClientRps =
-        spec.offeredQps / static_cast<double>(spec.clients);
     // §3.2 mix rides the workload's GET ratio: a GET arrival is a
     // timeline read, a SET is a compose post.
-    tenant.getRatio = 1.0 - _cfg.composeFraction;
-    tenant.diurnal = spec.diurnal;
-    // Timeline keys are not re-used by the model; keep the unused
-    // per-cohort key machinery tiny (zeta init is O(keySpace)).
-    tenant.keySpace = 1024;
-    _storm->addTenant(tenant);
-    _storm->start(_stopAt, [this](const app::OpenLoopCall &call) {
-        ++_issued;
-        ++_inflight;
-        const sim::Tick t0 = _sys.eq().now();
-        if (call.op.isGet) {
-            readTimeline(t0);
-            return;
-        }
-        const bool degraded =
-            _maxInflight > 0 && _inflight > _maxInflight;
-        composePost(t0, degraded);
-    });
+    _storm = startStorm(
+        _sys.eq(), _cfg.seed, spec, "users", 1.0 - _cfg.composeFraction,
+        _stopAt, [this](const app::OpenLoopCall &call) {
+            ++_issued;
+            ++_inflight;
+            const sim::Tick t0 = _sys.eq().now();
+            if (call.op.isGet) {
+                readTimeline(t0);
+                return;
+            }
+            const bool degraded =
+                _maxInflight > 0 && _inflight > _maxInflight;
+            composePost(t0, degraded);
+        });
 
     _sys.eq().runUntil(_stopAt + spec.drain);
 }

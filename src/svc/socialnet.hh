@@ -38,6 +38,7 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "svc/storm.hh"
 #include "svc/tier.hh"
 
 namespace dagger::svc {
@@ -108,15 +109,11 @@ struct SocialNetConfig
     std::uint64_t seed = 0x736e6574ull;
 };
 
-/** Open-loop storm parameters (see app::OpenLoopGen). */
-struct SnStormSpec
+/** Social Network's open-loop storm (see svc::startStorm). */
+struct SnStormSpec : StormSpec
 {
-    std::uint64_t clients = 1'048'576; ///< simulated user population
-    unsigned cohorts = 64;             ///< actors carrying it
-    double offeredQps = 600.0;         ///< aggregate peak arrival rate
-    sim::Tick duration = sim::msToTicks(200);
-    sim::Tick drain = sim::msToTicks(50);
-    app::DiurnalCurve diurnal;         ///< flat by default
+    SnStormSpec() : StormSpec(600.0) {}
+
     /**
      * Degraded-mode trigger: when more than this many requests are in
      * flight at the front-end, compose posts shed their Media leg and

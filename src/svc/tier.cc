@@ -94,7 +94,53 @@ Tier::useWorkerPool(unsigned workers)
     for (unsigned w = 0; w < workers; ++w)
         threads.push_back(&_cpus->core(1 + w).thread(0));
     _pool = std::make_unique<rpc::WorkerPool>(_sys, std::move(threads));
-    _server->setWorkerPool(_pool.get());
+}
+
+void
+Tier::serve(proto::FnId fn, rpc::Handler handler)
+{
+    // The server thread hands leaf handlers to the pool (nullptr keeps
+    // them on the dispatch thread).
+    serverThread().setWorkerPool(_pool.get());
+    serverThread().registerHandler(
+        fn, [this, handler = std::move(handler)](const proto::RpcMessage &req) {
+            rpc::HandlerOutcome out = handler(req);
+            if (out.respond)
+                _service.record(out.cost);
+            return out;
+        });
+}
+
+void
+Tier::serveDeferred(proto::FnId fn, DeferredHandler handler)
+{
+    serverThread().registerHandler(
+        fn, [this, handler = std::move(handler)](const proto::RpcMessage &req) {
+            rpc::HandlerOutcome out;
+            out.respond = false;
+            Deferred d =
+                handler(req, Pending{req.connId(), req.rpcId(), req.fnId()});
+            if (!d.work)
+                return out;
+            _service.record(d.cost);
+            if (_pool) {
+                _pool->submit(d.cost, std::move(d.work));
+                return out;
+            }
+            serverThread().pause();
+            out.cost = d.cost;
+            d.work();
+            return out;
+        });
+}
+
+void
+Tier::reply(const Pending &pending, const void *data, std::size_t len)
+{
+    serverThread().respondLater(pending.conn, pending.rpc, pending.fn, data,
+                                len);
+    if (!_pool)
+        serverThread().resume();
 }
 
 } // namespace dagger::svc

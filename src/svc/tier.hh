@@ -5,17 +5,24 @@
  * A Tier is one microservice process: its own NIC instance (the
  * virtualized-NIC deployment of Fig. 14), one server flow with a
  * dispatch thread, and one client flow per downstream dependency.
- * Tiers support chain and fan-out call patterns with both threading
- * models:
+ * A tier's threading model is whether it has a worker pool:
  *
- *  - Simple: handlers run (and block) in the dispatch thread;
- *  - Optimized: handler compute runs on a WorkerPool and nested calls
- *    never block the dispatch loop.
+ *  - Simple (no pool): handlers run in the dispatch thread, and a
+ *    handler waiting on nested calls blocks the dispatch loop;
+ *  - Optimized (useWorkerPool): handler compute runs on the workers
+ *    and nested calls never block the dispatch loop.
+ *
+ * Handlers come in two shapes.  A leaf answer (serve) returns its
+ * compute cost and response.  A deferred answer (serveDeferred)
+ * charges its cost, runs nested calls, and answers later with reply().
+ * Both record their cost in the tier's service histogram — the
+ * "lightweight request tracing" that finds the bottleneck tier.
  */
 
 #ifndef DAGGER_SVC_TIER_HH
 #define DAGGER_SVC_TIER_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,7 +30,7 @@
 #include "rpc/client.hh"
 #include "rpc/server.hh"
 #include "rpc/system.hh"
-#include "svc/trace.hh"
+#include "sim/stats.hh"
 
 namespace dagger::svc {
 
@@ -39,7 +46,7 @@ class Tier
   public:
     /**
      * @param sys         the deployment
-     * @param name        tier name (for traces and metrics)
+     * @param name        tier name (for metrics and reports)
      * @param downstreams number of downstream client flows to provision
      * @param cores       cores the tier owns: core 0 thread 0 runs the
      *                    dispatch loop, cores 1.. host worker threads
@@ -54,10 +61,46 @@ class Tier
                               nic::LbScheme lb = nic::LbScheme::RoundRobin);
 
     /**
-     * Apply the Optimized threading model with @p workers threads from
-     * this tier's own cores (cores 1..workers; requires cores > workers).
+     * Build the Optimized model's pool of @p workers threads from this
+     * tier's own cores (cores 1..workers; requires cores > workers).
+     * Call before serve() or serveDeferred().
      */
     void useWorkerPool(unsigned workers);
+
+    /** Where a deferred answer goes. */
+    struct Pending
+    {
+        proto::ConnId conn;
+        proto::RpcId rpc;
+        proto::FnId fn;
+    };
+
+    /** A deferred answer: charge @ref cost, then run @ref work, whose
+     *  nested calls end in reply().  Empty @ref work drops the request. */
+    struct Deferred
+    {
+        sim::Tick cost = 0;
+        sim::EventFn work;
+    };
+
+    using DeferredHandler =
+        std::function<Deferred(const proto::RpcMessage &, const Pending &)>;
+
+    /**
+     * Serve @p fn with a leaf handler, which returns its cost and
+     * response.  It runs on the worker pool if the tier has one.
+     */
+    void serve(proto::FnId fn, rpc::Handler handler);
+
+    /**
+     * Serve @p fn with a deferred handler.  Simple: the dispatch loop
+     * pays the cost and stays blocked until reply().  Optimized: the
+     * cost and the work run on a worker; the dispatch loop moves on.
+     */
+    void serveDeferred(proto::FnId fn, DeferredHandler handler);
+
+    /** Answer a deferred request (and unblock a Simple dispatch loop). */
+    void reply(const Pending &pending, const void *data, std::size_t len);
 
     /**
      * Apply a timeout/retry policy to every downstream client, current
@@ -92,7 +135,8 @@ class Tier
     rpc::CpuCore &ownCore(unsigned i) { return _cpus->core(i); }
     const std::string &name() const { return _name; }
     rpc::WorkerPool *workerPool() { return _pool.get(); }
-    Tracer &tracer() { return _tracer; }
+    /** Per-request service cost of every served request (ticks). */
+    const sim::Histogram &service() const { return _service; }
 
   private:
     void registerMetrics();
@@ -106,7 +150,7 @@ class Tier
     std::unique_ptr<rpc::WorkerPool> _pool;
     unsigned _nextClientFlow = 1;
     rpc::RetryPolicy _retryPolicy; ///< applied when enabled()
-    Tracer _tracer;
+    sim::Histogram _service;
 };
 
 } // namespace dagger::svc

@@ -1,8 +1,12 @@
 /**
  * @file
  * Flight Registration application tests (§5.7): correctness of the
- * 8-tier pipeline, threading-model contrast, tracing, store effects.
+ * 8-tier pipeline, threading-model contrast, bottleneck analysis,
+ * store effects.
  */
+
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -97,10 +101,79 @@ TEST(FlightApp, TracerIdentifiesFlightAsBottleneck)
     app.run(1.0, msToTicks(80));
     // §5.7: "Our analysis reveals that the system is bottlenecked by
     // the resource-demanding and long-running Flight service."
-    EXPECT_EQ(app.tracer().bottleneck(), "flight");
-    EXPECT_GT(app.tracer().span("flight").count(), 0u);
-    EXPECT_GT(app.tracer().span("checkin").count(), 0u);
-    EXPECT_GT(app.tracer().span("passport").count(), 0u);
+    EXPECT_EQ(app.bottleneck().name(), "flight");
+    EXPECT_GT(app.tier(FlightTier::Flight).service().count(), 0u);
+    EXPECT_GT(app.tier(FlightTier::Checkin).service().count(), 0u);
+    EXPECT_GT(app.tier(FlightTier::Passport).service().count(), 0u);
+}
+
+TEST(FlightApp, BottleneckIsTheLargestMeanServiceCost)
+{
+    FlightConfig cfg;
+    cfg.staffReadRate = 0;
+    cfg.flightCheapFraction = 1.0; // Flight: 4 us every time
+    cfg.baggageCost = usToTicks(30);
+    FlightApp app(cfg);
+    app.run(0.5, msToTicks(20));
+    EXPECT_EQ(&app.bottleneck(), &app.tier(FlightTier::Baggage));
+    EXPECT_EQ(app.tier(FlightTier::Baggage).service().mean(),
+              static_cast<double>(usToTicks(30)));
+}
+
+/** The Flight key of passenger @p pid ("%016" PRIx64). */
+std::string
+passengerKey(std::uint64_t pid)
+{
+    char key[17];
+    std::snprintf(key, sizeof(key), "%016llx",
+                  static_cast<unsigned long long>(pid));
+    return key;
+}
+
+TEST(FlightApp, DataPlaneReachesEveryStore)
+{
+    for (ThreadingModel model :
+         {ThreadingModel::Simple, ThreadingModel::Optimized}) {
+        SCOPED_TRACE(model == ThreadingModel::Simple ? "Simple"
+                                                     : "Optimized");
+        FlightConfig cfg;
+        cfg.model = model;
+        cfg.staffReadRate = 2000.0;
+        FlightApp app(cfg);
+        // Setup preloads the whole citizen registry.
+        EXPECT_EQ(app.citizensStore().totalStats().sets, 200'000u);
+        // Passengers 1..5 are registered up front, so a staff read of
+        // those keys always hits.
+        for (std::uint64_t pid = 1; pid <= 5; ++pid)
+            app.airportStore().partition(0).set(passengerKey(pid),
+                                                "registered");
+        const app::MicaStats airport0 = app.airportStore().totalStats();
+
+        app.run(0.5, msToTicks(60));
+        ASSERT_GT(app.completed(), 10u);
+        EXPECT_EQ(app.completed(), app.issued());
+
+        // One passport lookup per registration, keyed by its passenger.
+        // It hits exactly when the Citizens cache's lossy index still
+        // holds that citizen (the preload displaces some).
+        const app::MicaStats citizens = app.citizensStore().totalStats();
+        EXPECT_EQ(citizens.gets, app.completed());
+        std::uint64_t held = 0;
+        for (std::uint64_t pid = 1; pid <= app.completed(); ++pid)
+            held += app.citizensStore().partition(0).get(
+                        passengerKey(pid)).has_value();
+        EXPECT_EQ(citizens.getHits, held);
+        EXPECT_GT(held, 0u);
+        // Every registration lands in the Airport store.
+        const app::MicaStats airport = app.airportStore().totalStats();
+        EXPECT_EQ(airport.sets - airport0.sets, app.completed());
+        // Staff reads draw over the whole citizen id space: most miss
+        // the few registered passengers, so they reach far more keys
+        // than 1..5.
+        EXPECT_EQ(airport.gets, app.staffReadsCompleted());
+        ASSERT_GT(airport.gets, 50u);
+        EXPECT_GT(airport.gets - airport.getHits, airport.gets / 2);
+    }
 }
 
 TEST(FlightApp, StaffFrontendReadsConcurrently)

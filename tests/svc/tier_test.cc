@@ -1,10 +1,13 @@
 /**
  * @file
  * Tier-framework tests: flow provisioning, downstream wiring, worker
- * pools, tracing, chained tiers over virtualized NICs.
+ * pools, the two handler shapes under both threading models, the
+ * service histogram, chained tiers over virtualized NICs.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "svc/tier.hh"
 
@@ -69,13 +72,12 @@ TEST(Tier, WorkerPoolMovesHandlerOffDispatch)
     back.useWorkerPool(1u);
     ASSERT_NE(back.workerPool(), nullptr);
 
-    back.serverThread().registerHandler(
-        kFn, [](const proto::RpcMessage &req) {
-            HandlerOutcome out;
-            out.response = req.payload();
-            out.cost = usToTicks(5);
-            return out;
-        });
+    back.serve(kFn, [](const proto::RpcMessage &req) {
+        HandlerOutcome out;
+        out.response = req.payload();
+        out.cost = usToTicks(5);
+        return out;
+    });
     auto &client = front.connectTo(back);
     int done = 0;
     for (int i = 0; i < 10; ++i) {
@@ -141,15 +143,131 @@ TEST(Tier, ThreeTierChainOverVirtualizedNics)
     EXPECT_EQ(sys.numNodes(), 3u);
 }
 
-TEST(Tier, TracerAggregatesSpans)
+/**
+ * A deferred echo: records each handler call and parks its Pending;
+ * the test decides when to reply.
+ */
+struct DeferredEcho
 {
-    Tracer tracer;
-    tracer.record("fast", usToTicks(1));
-    tracer.record("slow", usToTicks(100));
-    tracer.record("slow.wall", usToTicks(500)); // excluded from ranking
-    EXPECT_EQ(tracer.bottleneck(), "slow");
-    EXPECT_EQ(tracer.span("fast").count(), 1u);
-    EXPECT_EQ(tracer.all().size(), 3u);
+    Tier &tier;
+    sim::Tick cost;
+    std::vector<Tier::Pending> pending;
+    int calls = 0;
+    int worked = 0;
+
+    void
+    install()
+    {
+        tier.serveDeferred(
+            kFn, [this](const proto::RpcMessage &, const Tier::Pending &p) {
+                ++calls;
+                pending.push_back(p);
+                return Tier::Deferred{cost, [this] { ++worked; }};
+            });
+    }
+
+    void
+    replyAll()
+    {
+        // A Simple reply resumes the dispatch loop, which may run the
+        // next handler (and append to pending) before reply returns.
+        const std::vector<Tier::Pending> now = std::move(pending);
+        pending.clear();
+        const std::uint64_t v = 1;
+        for (const Tier::Pending &p : now)
+            tier.reply(p, &v, sizeof(v));
+    }
+};
+
+TEST(Tier, SimpleDeferredBlocksDispatchUntilReply)
+{
+    DaggerSystem sys;
+    Tier front(sys, "front", 1, 1);
+    Tier back(sys, "back", 0, 1);
+    DeferredEcho echo{back, usToTicks(3), {}};
+    echo.install();
+    auto &client = front.connectTo(back);
+    int done = 0;
+    for (std::uint64_t v = 0; v < 2; ++v)
+        client.callPod(kFn, v, [&](const proto::RpcMessage &) { ++done; });
+
+    sys.eq().runFor(usToTicks(200));
+    // The first request's work ran; the second is still in the RX
+    // ring behind the blocked dispatch loop.
+    EXPECT_EQ(echo.calls, 1);
+    EXPECT_EQ(echo.worked, 1);
+    EXPECT_EQ(done, 0);
+
+    echo.replyAll();
+    sys.eq().runFor(usToTicks(200));
+    EXPECT_EQ(echo.calls, 2);
+    EXPECT_EQ(done, 1);
+
+    echo.replyAll();
+    sys.eq().runFor(usToTicks(200));
+    EXPECT_EQ(done, 2);
+    // The deferred cost ran on the dispatch thread.
+    EXPECT_GE(back.dispatchThread().busyTicks(), usToTicks(6));
+}
+
+TEST(Tier, OptimizedDeferredKeepsDispatchFree)
+{
+    DaggerSystem sys;
+    Tier front(sys, "front", 1, 1);
+    Tier back(sys, "back", 0, 2);
+    back.useWorkerPool(1u);
+    DeferredEcho echo{back, usToTicks(50), {}};
+    echo.install();
+    auto &client = front.connectTo(back);
+    int done = 0;
+    for (std::uint64_t v = 0; v < 4; ++v)
+        client.callPod(kFn, v, [&](const proto::RpcMessage &) { ++done; });
+
+    sys.eq().runFor(usToTicks(500));
+    // No reply yet, yet every request was dispatched and its work ran
+    // on the worker.
+    EXPECT_EQ(echo.calls, 4);
+    EXPECT_EQ(echo.worked, 4);
+    EXPECT_EQ(back.workerPool()->submitted(), 4u);
+    EXPECT_GE(back.ownCore(1).thread(0).busyTicks(), usToTicks(200));
+    EXPECT_LT(back.dispatchThread().busyTicks(), usToTicks(20));
+
+    echo.replyAll();
+    sys.eq().runFor(usToTicks(200));
+    EXPECT_EQ(done, 4);
+}
+
+TEST(Tier, ServiceHistogramRecordsEachChargedCost)
+{
+    DaggerSystem sys;
+    Tier front(sys, "front", 2, 1);
+    Tier leaf(sys, "leaf", 0, 1);
+    Tier deferred(sys, "deferred", 0, 1);
+    leaf.serve(kFn, [](const proto::RpcMessage &req) {
+        HandlerOutcome out;
+        out.response = req.payload();
+        out.cost = usToTicks(7);
+        return out;
+    });
+    DeferredEcho echo{deferred, usToTicks(11), {}};
+    echo.install();
+    auto &to_leaf = front.connectTo(leaf);
+    auto &to_deferred = front.connectTo(deferred);
+    for (std::uint64_t v = 0; v < 3; ++v) {
+        to_leaf.callPod(kFn, v);
+        to_deferred.callPod(kFn, v);
+        sys.eq().runFor(usToTicks(100));
+        echo.replyAll();
+    }
+    sys.eq().runFor(usToTicks(100));
+
+    EXPECT_EQ(leaf.service().count(), 3u);
+    EXPECT_EQ(leaf.service().min(), usToTicks(7));
+    EXPECT_EQ(leaf.service().max(), usToTicks(7));
+    EXPECT_EQ(deferred.service().count(), 3u);
+    EXPECT_EQ(deferred.service().min(), usToTicks(11));
+    EXPECT_EQ(deferred.service().max(), usToTicks(11));
+    EXPECT_EQ(front.service().count(), 0u);
 }
 
 } // namespace
