@@ -5,6 +5,29 @@
 
 namespace dagger::app {
 
+namespace {
+
+// An index entry packs, top bit down, a valid bit, the 16-bit tag and
+// the record's 47-bit absolute log offset, as MICA's 64-bit entries do.
+constexpr unsigned kOffsetBits = 47;
+constexpr std::uint64_t kOffsetMask = (std::uint64_t{1} << kOffsetBits) - 1;
+constexpr std::uint64_t kValid = std::uint64_t{1} << 63;
+
+std::uint64_t
+entryOf(std::uint16_t tag, std::uint64_t offset)
+{
+    return kValid | std::uint64_t{tag} << kOffsetBits | offset;
+}
+
+/** Whether entry @p e is valid and carries @p tag. */
+bool
+holdsTag(std::uint64_t e, std::uint16_t tag)
+{
+    return (e & ~kOffsetMask) == entryOf(tag, 0);
+}
+
+} // namespace
+
 std::uint64_t
 micaKeyHash(std::string_view key)
 {
@@ -15,7 +38,7 @@ micaKeyHash(std::string_view key)
 MicaPartition::MicaPartition(std::size_t log_bytes,
                              std::size_t index_buckets)
     : _log(std::make_unique_for_overwrite<std::uint8_t[]>(log_bytes)),
-      _logBytes(log_bytes), _buckets(index_buckets)
+      _logBytes(log_bytes), _buckets(index_buckets), _victims(index_buckets)
 {
     dagger_assert(log_bytes >= 1024, "log too small: ", log_bytes);
     dagger_assert(index_buckets > 0 &&
@@ -23,10 +46,10 @@ MicaPartition::MicaPartition(std::size_t log_bytes,
                   "index buckets must be a power of two");
 }
 
-MicaPartition::Bucket &
-MicaPartition::bucketFor(std::uint64_t hash)
+std::size_t
+MicaPartition::bucketFor(std::uint64_t hash) const
 {
-    return _buckets[(hash >> 16) & (_buckets.size() - 1)];
+    return (hash >> 16) & (_buckets.size() - 1);
 }
 
 std::uint16_t
@@ -51,6 +74,8 @@ MicaPartition::appendRecord(std::string_view key, std::string_view value)
         pos = 0;
         ++_stats.logWraps;
     }
+    // Never fires: filling 2^47 B takes ~2.8e12 sets of 50 B.
+    dagger_assert(off <= kOffsetMask, "log offset overflows 47 bits: ", off);
 
     RecordHeader hdr{static_cast<std::uint16_t>(key.size()),
                      static_cast<std::uint16_t>(value.size())};
@@ -95,65 +120,64 @@ MicaPartition::set(std::string_view key, std::uint64_t hash,
 {
     ++_stats.sets;
     const std::uint64_t off = appendRecord(key, value);
-    Bucket &b = bucketFor(hash);
+    const std::size_t i = bucketFor(hash);
+    Bucket &b = _buckets[i];
     const std::uint16_t tag = tagOf(hash);
 
     // Overwrite a matching tag if present.
-    for (IndexEntry &e : b.ways) {
-        if (e.valid && e.tag == tag) {
-            e.offset = off;
+    for (std::uint64_t &e : b.ways) {
+        if (holdsTag(e, tag)) {
+            e = entryOf(tag, off);
             return;
         }
     }
     // Otherwise take an invalid way, else displace (lossy).
-    for (IndexEntry &e : b.ways) {
-        if (!e.valid) {
-            e = IndexEntry{true, tag, off};
+    for (std::uint64_t &e : b.ways) {
+        if (!(e & kValid)) {
+            e = entryOf(tag, off);
             return;
         }
     }
-    IndexEntry &victim = b.ways[b.nextVictim];
-    b.nextVictim = (b.nextVictim + 1) % kWays;
-    victim = IndexEntry{true, tag, off};
+    std::uint8_t &victim = _victims[i];
+    b.ways[victim] = entryOf(tag, off);
+    victim = (victim + 1) % kWays;
     ++_stats.indexEvictions;
+}
+
+std::uint64_t *
+MicaPartition::findLive(std::string_view key, std::uint64_t hash,
+                        std::string &value_out)
+{
+    const std::uint16_t tag = tagOf(hash);
+    for (std::uint64_t &e : _buckets[bucketFor(hash)].ways) {
+        // A tag collision with a different key, or a lapped record,
+        // fails readRecord(): keep scanning the remaining ways.
+        if (holdsTag(e, tag) && readRecord(e & kOffsetMask, key, value_out))
+            return &e;
+    }
+    return nullptr;
 }
 
 std::optional<std::string>
 MicaPartition::get(std::string_view key, std::uint64_t hash)
 {
     ++_stats.gets;
-    Bucket &b = bucketFor(hash);
-    const std::uint16_t tag = tagOf(hash);
-    for (IndexEntry &e : b.ways) {
-        if (!e.valid || e.tag != tag)
-            continue;
-        std::string value;
-        if (readRecord(e.offset, key, value)) {
-            ++_stats.getHits;
-            return value;
-        }
-        // Tag collision with a different key, or a lapped record:
-        // keep scanning the remaining ways.
-    }
-    return std::nullopt;
+    std::string value;
+    if (!findLive(key, hash, value))
+        return std::nullopt;
+    ++_stats.getHits;
+    return value;
 }
 
 bool
 MicaPartition::erase(std::string_view key)
 {
-    const std::uint64_t h = micaKeyHash(key);
-    Bucket &b = bucketFor(h);
-    const std::uint16_t tag = tagOf(h);
-    for (IndexEntry &e : b.ways) {
-        if (!e.valid || e.tag != tag)
-            continue;
-        std::string value;
-        if (readRecord(e.offset, key, value)) {
-            e.valid = false;
-            return true;
-        }
-    }
-    return false;
+    std::string value;
+    std::uint64_t *e = findLive(key, micaKeyHash(key), value);
+    if (!e)
+        return false;
+    *e &= ~kValid;
+    return true;
 }
 
 MicaKvs::MicaKvs(unsigned partitions, std::size_t log_bytes_each,

@@ -98,18 +98,12 @@ class MicaPartition
   private:
     static constexpr unsigned kWays = 8;
 
-    struct IndexEntry
+    /** One cache line of packed index entries (layout in mica.cc). */
+    struct alignas(64) Bucket
     {
-        bool valid = false;
-        std::uint16_t tag = 0;
-        std::uint64_t offset = 0; ///< absolute log offset (monotonic)
+        std::uint64_t ways[kWays];
     };
-
-    struct Bucket
-    {
-        IndexEntry ways[kWays];
-        unsigned nextVictim = 0;
-    };
+    static_assert(sizeof(Bucket) == 64 && alignof(Bucket) == 64);
 
     /** Log record header. */
     struct RecordHeader
@@ -118,8 +112,12 @@ class MicaPartition
         std::uint16_t valLen;
     };
 
-    Bucket &bucketFor(std::uint64_t hash);
+    std::size_t bucketFor(std::uint64_t hash) const;
     static std::uint16_t tagOf(std::uint64_t hash);
+
+    /** The way whose live record holds @p key; copies its value out. */
+    std::uint64_t *findLive(std::string_view key, std::uint64_t hash,
+                            std::string &value_out);
 
     /** Append a record; returns its absolute offset. */
     std::uint64_t appendRecord(std::string_view key, std::string_view value);
@@ -136,6 +134,7 @@ class MicaPartition
     std::size_t _logBytes;
     std::uint64_t _head = 0; ///< absolute append offset (monotonic)
     std::vector<Bucket> _buckets;
+    std::vector<std::uint8_t> _victims; ///< per-bucket displacement cursor
     MicaStats _stats;
 };
 

@@ -6,18 +6,160 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/mica.hh"
 #include "app/workload.hh"
+#include "sim/rng.hh"
 #include "tests/nic/steering_rig.hh"
 
 namespace {
 
 using namespace dagger::app;
+
+/**
+ * MicaPartition as first written, the oracle for the packed index:
+ * 16-byte entries and an inline victim cursor, 136 B a bucket, over
+ * the same circular log.
+ */
+class ReferencePartition
+{
+  public:
+    ReferencePartition(std::size_t log_bytes, std::size_t buckets)
+        : _log(log_bytes), _buckets(buckets)
+    {
+    }
+
+    void
+    set(std::string_view key, std::string_view value)
+    {
+        ++_stats.sets;
+        const std::uint64_t off = append(key, value);
+        const std::uint64_t h = micaKeyHash(key);
+        Bucket &b = bucketFor(h);
+        const auto tag = static_cast<std::uint16_t>(h & 0xffff);
+        for (IndexEntry &e : b.ways) {
+            if (e.valid && e.tag == tag) {
+                e.offset = off;
+                return;
+            }
+        }
+        for (IndexEntry &e : b.ways) {
+            if (!e.valid) {
+                e = IndexEntry{true, tag, off};
+                return;
+            }
+        }
+        IndexEntry &victim = b.ways[b.nextVictim];
+        b.nextVictim = (b.nextVictim + 1) % 8;
+        victim = IndexEntry{true, tag, off};
+        ++_stats.indexEvictions;
+    }
+
+    std::optional<std::string>
+    get(std::string_view key)
+    {
+        ++_stats.gets;
+        std::string value;
+        if (!findLive(key, value))
+            return std::nullopt;
+        ++_stats.getHits;
+        return value;
+    }
+
+    bool
+    erase(std::string_view key)
+    {
+        std::string value;
+        IndexEntry *e = findLive(key, value);
+        if (e)
+            e->valid = false;
+        return e != nullptr;
+    }
+
+    const MicaStats &stats() const { return _stats; }
+
+  private:
+    struct IndexEntry
+    {
+        bool valid = false;
+        std::uint16_t tag = 0;
+        std::uint64_t offset = 0;
+    };
+    struct Bucket
+    {
+        IndexEntry ways[8];
+        unsigned nextVictim = 0;
+    };
+    static_assert(sizeof(Bucket) == 136);
+
+    Bucket &
+    bucketFor(std::uint64_t h)
+    {
+        return _buckets[(h >> 16) & (_buckets.size() - 1)];
+    }
+
+    std::uint64_t
+    append(std::string_view key, std::string_view value)
+    {
+        const std::size_t need = 4 + key.size() + value.size();
+        std::size_t pos = _head % _log.size();
+        std::uint64_t off = _head;
+        if (pos + need > _log.size()) {
+            off += _log.size() - pos;
+            pos = 0;
+            ++_stats.logWraps;
+        }
+        const std::uint16_t lens[2] = {
+            static_cast<std::uint16_t>(key.size()),
+            static_cast<std::uint16_t>(value.size())};
+        std::uint8_t *rec = _log.data() + pos;
+        std::memcpy(rec, lens, 4);
+        std::memcpy(rec + 4, key.data(), key.size());
+        std::memcpy(rec + 4 + key.size(), value.data(), value.size());
+        _head = off + need;
+        return off;
+    }
+
+    IndexEntry *
+    findLive(std::string_view key, std::string &value_out)
+    {
+        const std::uint64_t h = micaKeyHash(key);
+        const auto tag = static_cast<std::uint16_t>(h & 0xffff);
+        for (IndexEntry &e : bucketFor(h).ways) {
+            if (!e.valid || e.tag != tag || _head > e.offset + _log.size())
+                continue;
+            const std::uint8_t *rec = _log.data() + e.offset % _log.size();
+            std::uint16_t lens[2];
+            std::memcpy(lens, rec, 4);
+            if (lens[0] != key.size() ||
+                std::memcmp(rec + 4, key.data(), key.size()) != 0)
+                continue;
+            value_out.assign(reinterpret_cast<const char *>(rec + 4 + lens[0]),
+                             lens[1]);
+            return &e;
+        }
+        return nullptr;
+    }
+
+    std::vector<std::uint8_t> _log;
+    std::uint64_t _head = 0;
+    std::vector<Bucket> _buckets;
+    MicaStats _stats;
+};
+
+std::array<std::uint64_t, 6>
+statsOf(const MicaStats &s)
+{
+    return {s.gets, s.getHits, s.sets, s.indexEvictions, s.logWraps,
+            s.crossPartition};
+}
 
 TEST(MicaPartition, SetGetRoundTrip)
 {
@@ -135,6 +277,72 @@ TEST(MicaPartition, LossyIndexDisplacesUnderPressure)
     }
     EXPECT_LE(live, 8u);
     EXPECT_GT(live, 0u);
+}
+
+TEST(MicaPartition, PackedIndexMatchesReferenceLayout)
+{
+    // Keys whose hashes agree in bits 0-17 share a tag and, at up to
+    // four buckets, a bucket; two more differ from that tag in only
+    // bit 0 or only bit 15 and must never be taken for it.
+    const std::vector<std::string> sameTag = {"c0", "c496285", "c784812",
+                                              "c793162"};
+    const std::string nearTag[2] = {"c16729", "c416533"};
+    constexpr std::uint64_t kLow18 = (1u << 18) - 1;
+    const std::uint64_t base = micaKeyHash(sameTag[0]) & kLow18;
+    for (const std::string &k : sameTag)
+        ASSERT_EQ(micaKeyHash(k) & kLow18, base) << k;
+    ASSERT_EQ(micaKeyHash(nearTag[0]) & kLow18, base ^ 1);
+    ASSERT_EQ(micaKeyHash(nearTag[1]) & kLow18, base ^ 0x8000);
+
+    std::vector<std::string> keys(sameTag);
+    keys.insert(keys.end(), std::begin(nearTag), std::end(nearTag));
+    for (int i = 0; i < 14; ++i)
+        keys.push_back("k" + std::to_string(i));
+
+    MicaStats seen;
+    std::uint64_t erased = 0, sameTagHits = 0;
+    for (const std::size_t buckets : {1u, 2u, 4u}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            // A 4 KB log wraps every ~130 sets of these records.
+            MicaPartition packed(4096, buckets);
+            ReferencePartition ref(4096, buckets);
+            dagger::sim::Rng rng(seed);
+            for (int op = 0; op < 3000; ++op) {
+                const std::string &key = keys[rng.range(keys.size())];
+                const std::uint64_t dice = rng.range(100);
+                if (dice < 45) {
+                    const std::string value(rng.range(49),
+                                            static_cast<char>('a' + op % 26));
+                    packed.set(key, value);
+                    ref.set(key, value);
+                } else if (dice < 85) {
+                    const std::optional<std::string> want = ref.get(key);
+                    ASSERT_EQ(packed.get(key), want)
+                        << "buckets " << buckets << " seed " << seed
+                        << " op " << op << " get " << key;
+                    if (want && key[0] == 'c')
+                        ++sameTagHits;
+                } else {
+                    const bool want = ref.erase(key);
+                    ASSERT_EQ(packed.erase(key), want)
+                        << "buckets " << buckets << " seed " << seed
+                        << " op " << op << " erase " << key;
+                    erased += want;
+                }
+                ASSERT_EQ(statsOf(packed.stats()), statsOf(ref.stats()))
+                    << "buckets " << buckets << " seed " << seed << " op "
+                    << op;
+            }
+            seen.merge(packed.stats());
+        }
+    }
+    // The streams reached every path of the index.
+    EXPECT_GT(seen.getHits, 0u);
+    EXPECT_LT(seen.getHits, seen.gets);
+    EXPECT_GT(seen.indexEvictions, 0u);
+    EXPECT_GT(seen.logWraps, 0u);
+    EXPECT_GT(erased, 0u);
+    EXPECT_GT(sameTagHits, 0u);
 }
 
 TEST(MicaKvs, PartitioningMatchesNicLoadBalancer)
