@@ -38,12 +38,22 @@ micaKeyHash(std::string_view key)
 MicaPartition::MicaPartition(std::size_t log_bytes,
                              std::size_t index_buckets)
     : _log(std::make_unique_for_overwrite<std::uint8_t[]>(log_bytes)),
-      _logBytes(log_bytes), _buckets(index_buckets), _victims(index_buckets)
+      _logBytes(log_bytes)
 {
     dagger_assert(log_bytes >= 1024, "log too small: ", log_bytes);
     dagger_assert(index_buckets > 0 &&
                   (index_buckets & (index_buckets - 1)) == 0,
                   "index buckets must be a power of two");
+    const std::size_t bytes = index_buckets * (sizeof(Bucket) + 1);
+    std::size_t space = bytes + alignof(Bucket) - 1;
+    _index = std::make_unique_for_overwrite<std::uint8_t[]>(space);
+    void *p = _index.get();
+    auto *b = static_cast<Bucket *>(
+        std::align(alignof(Bucket), bytes, p, space));
+    std::uninitialized_value_construct_n(b, index_buckets);
+    _buckets = {b, index_buckets};
+    _victims = reinterpret_cast<std::uint8_t *>(b + index_buckets);
+    std::uninitialized_value_construct_n(_victims, index_buckets);
 }
 
 std::size_t

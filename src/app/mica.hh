@@ -19,6 +19,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,8 +134,15 @@ class MicaPartition
     std::unique_ptr<std::uint8_t[]> _log;
     std::size_t _logBytes;
     std::uint64_t _head = 0; ///< absolute append offset (monotonic)
-    std::vector<Bucket> _buckets;
-    std::vector<std::uint8_t> _victims; ///< per-bucket displacement cursor
+    /// The buckets, aligned by hand, then the victim cursors, in one
+    /// plain allocation.  An over-aligned operator new (memalign) frees
+    /// small chunks off both ends of its block, and a second block
+    /// leaves a second hole: long-lived allocations that land there
+    /// keep a store that is built and freed repeatedly from reusing its
+    /// old space, so the heap, and peak RSS, grow in jumps.
+    std::unique_ptr<std::uint8_t[]> _index;
+    std::span<Bucket> _buckets;   ///< in _index
+    std::uint8_t *_victims;       ///< per-bucket displacement cursor
     MicaStats _stats;
 };
 
