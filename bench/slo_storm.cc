@@ -8,10 +8,10 @@
  * traffic: millions of independent clients keep arriving regardless
  * of backlog, which is the only regime where retry storms, load
  * shedding, and degraded-mode fan-out actually matter.  This bench
- * drives both deployed applications with app::OpenLoopGen cohort
- * actors (2^20 clients folded into 64 actors — memory stays
- * O(cohorts + in-flight)) and scores each operating point against
- * p99/p999 SLOs:
+ * drives both deployed applications with svc::OpenLoopGen cohort
+ * actors, built from each app's svc::StormSpec and GET ratio (2^20
+ * clients folded into 64 actors — memory stays O(cohorts +
+ * in-flight)), and scores each operating point against p99/p999 SLOs:
  *
  *  - Flight Registration (Optimized threading): a
  *    capacity ladder whose 50 Krps point *completes* the offered

@@ -117,7 +117,6 @@ runDagger()
     Point p;
     p.mrps = sat.mrps;
     p.p50_us = lat.p50_us;
-    (void)lat;
     return p;
 }
 

@@ -43,10 +43,10 @@ using Payload = proto::PayloadBuf;
 /** Per-request component times recorded at the serving node. */
 struct ServeBreakdown
 {
-    sim::Histogram transport{"transport_ns"}; ///< RX transport (+queue)
-    sim::Histogram rpc{"rpc_ns"};             ///< RPC layers (+queue)
-    sim::Histogram app{"app_ns"};             ///< handler incl. nested calls
-    sim::Histogram total{"total_ns"};         ///< arrival -> response sent
+    sim::Histogram transport; ///< RX transport (+queue)
+    sim::Histogram rpc;       ///< RPC layers (+queue)
+    sim::Histogram app;       ///< handler incl. nested calls
+    sim::Histogram total;     ///< arrival -> response sent
 };
 
 /** One endpoint (think: one microservice process). */

@@ -4,30 +4,18 @@
 
 namespace dagger::net {
 
-namespace {
-
-/** splitmix64 finalizer: spreads a port's node id over the seed. */
-std::uint64_t
-mixSeed(std::uint64_t seed, std::uint64_t salt)
-{
-    std::uint64_t s = seed + salt * 0x9e3779b97f4a7c15ull;
-    s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9ull;
-    s = (s ^ (s >> 27)) * 0x94d049bb133111ebull;
-    return s ^ (s >> 31);
-}
-
-} // namespace
-
 void
 FaultInjector::install(SwitchPort &port)
 {
     if (_ports.find(&port) == _ports.end()) {
         // The first port keeps the base seed — a single-port install
         // sees the classic stream.  Further ports get their own mixed
-        // stream, independent of the other ports' traffic.
+        // stream, independent of the other ports' traffic: the port's
+        // node id spread over the seed by the splitmix64 finalizer.
         const std::uint64_t seed = _ports.empty()
             ? _spec.seed
-            : mixSeed(_spec.seed, 1 + port.node());
+            : sim::mix64(_spec.seed +
+                         (1 + port.node()) * 0x9e3779b97f4a7c15ull);
         _ports.emplace(&port, PortState(seed));
     }
     port.setFaultInjector(this);

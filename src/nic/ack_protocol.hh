@@ -30,6 +30,7 @@
 
 #include "nic/pipeline.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/time.hh"
 
 namespace dagger::nic {
@@ -112,14 +113,9 @@ class AckProtocol final : public ProtocolUnit
             // splitmix64 finalizer over the full (conn, seq) pair; a
             // plain shift-xor mix must not shift a 32-bit lane past
             // bit 32, or high connection ids silently collide.
-            std::uint64_t v = (static_cast<std::uint64_t>(k.conn) << 32) |
-                              static_cast<std::uint64_t>(k.seq);
-            v ^= v >> 30;
-            v *= 0xbf58476d1ce4e5b9ull;
-            v ^= v >> 27;
-            v *= 0x94d049bb133111ebull;
-            v ^= v >> 31;
-            return static_cast<std::size_t>(v);
+            return static_cast<std::size_t>(
+                sim::mix64((static_cast<std::uint64_t>(k.conn) << 32) |
+                           static_cast<std::uint64_t>(k.seq)));
         }
     };
 

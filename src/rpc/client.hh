@@ -240,7 +240,7 @@ class RpcClient
     /** Messages of scheduled _thread events, in execute() order. */
     sim::RingQueue<proto::RpcMessage> _threadMsgs;
 
-    sim::Histogram _latency{"rpc_rtt"};
+    sim::Histogram _latency;
     std::uint64_t _sent = 0;
     std::uint64_t _responses = 0;
     std::uint64_t _sendFailures = 0;

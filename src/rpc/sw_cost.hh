@@ -33,9 +33,6 @@ struct SwCost
      */
     sim::Tick completionCost = sim::nsToTicks(18);
 
-    /** Server dispatch-loop overhead per request (before the handler). */
-    sim::Tick dispatchCost = sim::nsToTicks(30);
-
     /**
      * Extra dispatcher work to hand a request off to a worker thread
      * (enqueue + wakeup; §5.7 Optimized threading model).

@@ -7,16 +7,6 @@ namespace dagger::sim {
 namespace {
 
 std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
@@ -27,9 +17,10 @@ rotl(std::uint64_t x, int k)
 void
 Rng::reseed(std::uint64_t seed)
 {
+    // splitmix64: a Weyl sequence through the finalizer.
     std::uint64_t sm = seed;
     for (auto &word : _s)
-        word = splitmix64(sm);
+        word = mix64(sm += 0x9e3779b97f4a7c15ull);
     _haveSpare = false;
 }
 

@@ -17,6 +17,19 @@
 
 namespace dagger::sim {
 
+/**
+ * The splitmix64 finalizer: a bijective 64-bit mix whose every output
+ * bit depends on every input bit.  Seeds derived from a base seed and
+ * a small index pass through it so the derived streams decorrelate.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 /** Deterministic PRNG with convenience distributions. */
 class Rng
 {

@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <bit>
-#include <cstdio>
 
 #include "sim/logging.hh"
 
@@ -110,16 +109,6 @@ Histogram::reset()
     _sum = 0;
     _min = std::numeric_limits<std::uint64_t>::max();
     _max = 0;
-}
-
-std::string
-Histogram::summaryUs() const
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "p50=%.2fus p90=%.2fus p99=%.2fus",
-                  ticksToUs(percentile(50)), ticksToUs(percentile(90)),
-                  ticksToUs(percentile(99)));
-    return buf;
 }
 
 } // namespace dagger::sim

@@ -322,16 +322,14 @@ FlightApp::runStorm(const FlightStormSpec &spec)
     dagger_assert(!_storm, "runStorm called twice");
     // Storm mode draws from per-consumer streams: flight costs from
     // _flightRng, staff traffic from _staffRng, arrivals from the
-    // generator's cohorts.  Registration ids are monotonic, not
-    // Zipf-keyed.
+    // generator's cohorts.  Registration ids are monotonic.
     _costRng = &_flightRng;
     _stopAt = _sys.now() + spec.duration;
     if (spec.passengerRetry.enabled())
         _passengerClient->setRetryPolicy(spec.passengerRetry);
-    _storm = startStorm(_sys.eq(), _cfg.seed, spec, "passengers", 1.0, _stopAt,
-                        [this](const app::OpenLoopCall &) {
-                            issuePassenger(_sys.now());
-                        });
+    _storm = std::make_unique<OpenLoopGen>(
+        _sys.eq(), _cfg.seed, spec, 1.0,
+        [this](std::uint64_t, bool) { issuePassenger(_sys.now()); });
     startStaffDriver(_staffRng);
 
     _sys.runUntilTick(_stopAt + spec.drain);

@@ -16,9 +16,9 @@
  *
  * Two drivers: run() is the open-loop Poisson calibration behind
  * Table 4 and Fig. 15, with every draw on one interleaved stream;
- * runStorm() drives million-client open-loop load (app::OpenLoopGen)
- * against per-tier timeout budgets, shedding, and degraded-mode
- * fan-out.
+ * runStorm() drives million-client open-loop load (an svc::OpenLoopGen
+ * of passengers, every arrival a registration) against per-tier
+ * timeout budgets, shedding, and degraded-mode fan-out.
  */
 
 #ifndef DAGGER_SVC_FLIGHT_HH
@@ -30,7 +30,6 @@
 #include "app/adapters.hh"
 #include "app/kvs_service.hh"
 #include "app/mica.hh"
-#include "app/open_loop.hh"
 #include "rpc/client.hh"
 #include "rpc/system.hh"
 #include "sim/rng.hh"
@@ -82,7 +81,7 @@ struct FlightConfig
     std::uint64_t seed = 0x666c69676874ull;
 };
 
-/** Flight's open-loop storm (see svc::startStorm). */
+/** Flight's open-loop storm (see svc::OpenLoopGen). */
 struct FlightStormSpec : StormSpec
 {
     FlightStormSpec() : StormSpec(10'000.0) {}
@@ -205,9 +204,9 @@ class FlightApp
     std::unique_ptr<app::KvsServer> _citizensSrv;
 
     // Storm driver (runStorm only).
-    std::unique_ptr<app::OpenLoopGen> _storm;
+    std::unique_ptr<OpenLoopGen> _storm;
 
-    sim::Histogram _e2e{"flight_e2e"};
+    sim::Histogram _e2e;
     std::uint64_t _issued = 0;
     std::uint64_t _completed = 0;
     std::uint64_t _completedDegraded = 0;

@@ -65,8 +65,6 @@ SocialNet::SocialNet(SocialNetConfig cfg) : _cfg(cfg), _rng(cfg.seed)
 void
 SocialNet::build()
 {
-    for (unsigned t = 0; t < kSnTiers; ++t)
-        _reqSize[t] = sim::Histogram(snTierName(t));
     if (_cfg.transport == SnTransport::KernelTcp)
         buildKernelTcp();
     else
@@ -331,13 +329,13 @@ SocialNet::runStorm(const SnStormSpec &spec)
     _maxInflight = spec.maxInflight;
     // §3.2 mix rides the workload's GET ratio: a GET arrival is a
     // timeline read, a SET is a compose post.
-    _storm = startStorm(
-        _sys.eq(), _cfg.seed, spec, "users", 1.0 - _cfg.composeFraction,
-        _stopAt, [this](const app::OpenLoopCall &call) {
+    _storm = std::make_unique<OpenLoopGen>(
+        _sys.eq(), _cfg.seed, spec, 1.0 - _cfg.composeFraction,
+        [this](std::uint64_t, bool is_get) {
             ++_issued;
             ++_inflight;
             const sim::Tick t0 = _sys.eq().now();
-            if (call.op.isGet) {
+            if (is_get) {
                 readTimeline(t0);
                 return;
             }

@@ -31,7 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "app/open_loop.hh"
 #include "baseline/soft_rpc_node.hh"
 #include "rpc/cpu.hh"
 #include "rpc/system.hh"
@@ -109,7 +108,7 @@ struct SocialNetConfig
     std::uint64_t seed = 0x736e6574ull;
 };
 
-/** Social Network's open-loop storm (see svc::startStorm). */
+/** Social Network's open-loop storm (see svc::OpenLoopGen). */
 struct SnStormSpec : StormSpec
 {
     SnStormSpec() : StormSpec(600.0) {}
@@ -139,7 +138,7 @@ class SocialNet
 
     /**
      * Drive a million-client open-loop storm (cohort actors, diurnal
-     * curve, §3.2 mix via the tenant's GET ratio).  May be called once
+     * curve, §3.2 mix via the storm's GET ratio).  May be called once
      * per app, instead of run().
      */
     void runStorm(const SnStormSpec &spec);
@@ -219,12 +218,12 @@ class SocialNet
 
     std::array<sim::Histogram, kSnTiers> _reqSize;
     std::array<sim::Histogram, kSnTiers> _callLat;
-    sim::Histogram _allReq{"all_req_bytes"};
-    sim::Histogram _allResp{"all_resp_bytes"};
-    sim::Histogram _e2e{"socialnet_e2e"};
+    sim::Histogram _allReq;
+    sim::Histogram _allResp;
+    sim::Histogram _e2e;
 
     // Storm driver (runStorm only).
-    std::unique_ptr<app::OpenLoopGen> _storm;
+    std::unique_ptr<OpenLoopGen> _storm;
 
     std::uint64_t _issued = 0;
     std::uint64_t _completed = 0;
