@@ -17,9 +17,13 @@
 #ifndef DAGGER_APP_WORKLOAD_HH
 #define DAGGER_APP_WORKLOAD_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace dagger::app {
@@ -58,8 +62,21 @@ class KvWorkload
     KvWorkload(std::uint64_t num_keys, double theta, double get_ratio,
                DatasetShape shape, std::uint64_t seed = 0x6b7673ull)
         : _shape(shape), _getRatio(get_ratio), _zipf(num_keys, theta, seed),
-          _rng(seed ^ 0x9e3779b97f4a7c15ull)
-    {}
+          _rng(seed ^ 0x9e3779b97f4a7c15ull), _valueBytes(shape.valLen * 256)
+    {
+        dagger_assert(shape.keyLen > 0 && shape.valLen > 0,
+                      "KvWorkload needs non-empty keys and values, got ",
+                      shape.keyLen, " B keys and ", shape.valLen,
+                      " B values");
+        // Row b holds the value bytes for key byte b at every position.
+        // The key byte goes through char, as the formula reads it, so
+        // bytes >= 128 and positions >= 128 keep the platform's char sign.
+        for (unsigned b = 0; b < 256; ++b)
+            for (std::size_t i = 0; i < shape.valLen; ++i)
+                _valueBytes[b * shape.valLen + i] = static_cast<char>(
+                    'A' + (static_cast<char>(b) * 31 +
+                           static_cast<char>(i)) % 26);
+    }
 
     /** Deterministic fixed-width key for index @p i. */
     std::string
@@ -74,18 +91,26 @@ class KvWorkload
         return key;
     }
 
-    /** Deterministic value for a key (integrity-checkable). */
+    /**
+     * Deterministic value for a key (integrity-checkable): byte i is
+     * 'A' + (key[i % key.size()] * 31 + char(i)) % 26, in char
+     * arithmetic.  The key must not be empty.
+     */
     std::string
     valueFor(std::string_view key) const
     {
-        // Byte i mixes key byte i % key.size(); k tracks that index
-        // so the loop does no division by the run-time key length.
+        dagger_assert(!key.empty(), "KvWorkload::valueFor with an empty key");
+        // One table load per byte, the key walked in whole blocks so
+        // the loop does no division by the run-time key length.
         std::string v(_shape.valLen, 'v');
-        for (std::size_t i = 0, k = 0; i < v.size(); ++i) {
-            v[i] = static_cast<char>(
-                'A' + (key[k] * 31 + static_cast<char>(i)) % 26);
-            if (++k == key.size())
-                k = 0;
+        const auto *kb = reinterpret_cast<const unsigned char *>(key.data());
+        const char *table = _valueBytes.data();
+        char *out = v.data();
+        const std::size_t len = v.size();
+        for (std::size_t i = 0; i < len;) {
+            const std::size_t n = std::min(len - i, key.size());
+            for (std::size_t k = 0; k < n; ++k, ++i)
+                out[i] = table[kb[k] * len + i];
         }
         return v;
     }
@@ -112,6 +137,7 @@ class KvWorkload
     double _getRatio;
     sim::ZipfianGenerator _zipf;
     sim::Rng _rng;
+    std::vector<char> _valueBytes; ///< 256 rows (key byte) x valLen
 };
 
 } // namespace dagger::app

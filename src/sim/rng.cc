@@ -1,5 +1,7 @@
 #include "sim/rng.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace dagger::sim {
@@ -10,6 +12,54 @@ std::uint64_t
 rotl(std::uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** zeta(n, theta) = sum of i^-theta for i in [1, n]. */
+double
+zeta(std::uint64_t n, double theta)
+{
+    // Exact sum for small n; for the paper's 10M/200M key spaces use the
+    // Euler–Maclaurin approximation so construction stays O(1)-ish.
+    constexpr std::uint64_t kExactLimit = 1u << 20;
+    double sum = 0.0;
+    if (n <= kExactLimit) {
+        for (std::uint64_t i = 1; i <= n; ++i)
+            sum += 1.0 / std::pow(static_cast<double>(i), theta);
+        return sum;
+    }
+    for (std::uint64_t i = 1; i <= kExactLimit; ++i)
+        sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    const double a = static_cast<double>(kExactLimit);
+    const double b = static_cast<double>(n);
+    // Integral of x^-theta from a to b plus endpoint correction.
+    sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
+           (1.0 - theta);
+    sum += 0.5 * (std::pow(b, -theta) - std::pow(a, -theta));
+    return sum;
+}
+
+/**
+ * zeta(n, theta) through a one-entry memo per thread.  Callers build
+ * their generators one key space at a time (a workload and its warm-up
+ * stream, then the next repetition or scenario), so the last sum is the
+ * one asked for again.  Keyed by theta's bits, not its value, so a hit
+ * is exactly the sum the same arguments would compute.
+ */
+double
+memoZeta(std::uint64_t n, double theta)
+{
+    struct Memo
+    {
+        std::uint64_t n = 0; ///< 0: empty (no generator has zero keys)
+        std::uint64_t thetaBits = 0;
+        double zeta = 0.0;
+    };
+    thread_local Memo memo;
+
+    const auto bits = std::bit_cast<std::uint64_t>(theta);
+    if (memo.n != n || memo.thetaBits != bits)
+        memo = {n, bits, zeta(n, theta)};
+    return memo.zeta;
 }
 
 } // namespace
@@ -73,39 +123,17 @@ Rng::normal(double mean, double stddev)
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
                                    std::uint64_t seed)
-    : _n(n), _theta(theta), _rng(seed)
+    : _n(n), _rng(seed)
 {
     dagger_assert(n > 0, "ZipfianGenerator over empty key space");
     dagger_assert(theta >= 0.0 && theta < 1.0,
                   "Zipf theta must be in [0,1), got ", theta);
-    _zetan = zeta(n, theta);
+    _zetan = memoZeta(n, theta);
     _alpha = 1.0 / (1.0 - theta);
     const double zeta2 = zeta(2, theta);
     _eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
            (1.0 - zeta2 / _zetan);
-}
-
-double
-ZipfianGenerator::zeta(std::uint64_t n, double theta) const
-{
-    // Exact sum for small n; for the paper's 10M/200M key spaces use the
-    // Euler–Maclaurin approximation so construction stays O(1)-ish.
-    constexpr std::uint64_t kExactLimit = 1u << 20;
-    double sum = 0.0;
-    if (n <= kExactLimit) {
-        for (std::uint64_t i = 1; i <= n; ++i)
-            sum += 1.0 / std::pow(static_cast<double>(i), theta);
-        return sum;
-    }
-    for (std::uint64_t i = 1; i <= kExactLimit; ++i)
-        sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    const double a = static_cast<double>(kExactLimit);
-    const double b = static_cast<double>(n);
-    // Integral of x^-theta from a to b plus endpoint correction.
-    sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
-           (1.0 - theta);
-    sum += 0.5 * (std::pow(b, -theta) - std::pow(a, -theta));
-    return sum;
+    _rank1Bound = 1.0 + std::pow(0.5, theta);
 }
 
 std::uint64_t
@@ -115,7 +143,7 @@ ZipfianGenerator::next()
     const double uz = u * _zetan;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, _theta))
+    if (uz < _rank1Bound)
         return 1;
     const auto idx = static_cast<std::uint64_t>(
         static_cast<double>(_n) *

@@ -87,6 +87,13 @@ class Rng
  * Gray et al. rejection-free formulation (as used by YCSB and the MICA
  * evaluation).  theta in [0, 1); theta=0.99 matches the paper's KVS
  * workloads, 0.9999 the high-skew variant.
+ *
+ * Construction needs zeta(n, theta), a sum of up to 2^20 pow() terms.
+ * Each thread remembers the last sum it computed, keyed by n and the
+ * bits of theta, so rebuilding a generator over the same key space (a
+ * second workload, the next repetition) skips the sum.  The memo is
+ * per thread, so concurrent constructions share nothing, and a hit
+ * returns the very double the sum produced.
  */
 class ZipfianGenerator
 {
@@ -98,16 +105,13 @@ class ZipfianGenerator
     std::uint64_t next();
 
     std::uint64_t n() const { return _n; }
-    double theta() const { return _theta; }
 
   private:
-    double zeta(std::uint64_t n, double theta) const;
-
     std::uint64_t _n;
-    double _theta;
     double _alpha;
     double _zetan;
     double _eta;
+    double _rank1Bound; ///< uz below this (and >= 1) samples rank 1
     Rng _rng;
 };
 

@@ -63,6 +63,54 @@ TEST(KvWorkloadBytes, KeysAndValuesArePinned)
               0x2fe5431c3ddf5189ull);
 }
 
+/** The value formula as first written: one byte at a time, in char. */
+std::string
+referenceValue(std::string_view key, std::size_t val_len)
+{
+    std::string v(val_len, 'v');
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<char>(
+            'A' + (key[i % key.size()] * 31 + static_cast<char>(i)) % 26);
+    return v;
+}
+
+TEST(KvWorkloadBytes, ValueTableMatchesFormulaOverEveryByte)
+{
+    // Key j holds byte (j + 37 * t) % 256 at position t, so over the
+    // 256 keys every position sees every byte value, including the
+    // ones >= 128 that are negative as char.  Values past 128 bytes
+    // make char(i) negative too.  Keys of every length go through
+    // every shape, also where the key is not the shape's length.
+    constexpr std::size_t kKeyLens[] = {1, 7, 8, 16};
+    constexpr std::size_t kValLens[] = {8, 32, 300, 600};
+    for (const std::size_t shape_key : kKeyLens) {
+        for (const std::size_t val_len : kValLens) {
+            const KvWorkload wl(100, 0.99, 0.5,
+                                DatasetShape{shape_key, val_len, "probe"});
+            for (const std::size_t key_len : kKeyLens) {
+                for (unsigned j = 0; j < 256; ++j) {
+                    std::string key(key_len, '\0');
+                    for (std::size_t t = 0; t < key_len; ++t)
+                        key[t] = static_cast<char>((j + 37 * t) % 256);
+                    ASSERT_EQ(wl.valueFor(key), referenceValue(key, val_len))
+                        << "shape " << shape_key << "/" << val_len
+                        << ", key length " << key_len << ", key " << j;
+                }
+            }
+        }
+    }
+}
+
+TEST(KvWorkloadDeathTest, RejectsEmptyKeysAndValues)
+{
+    EXPECT_DEATH(KvWorkload(10, 0.99, 0.5, DatasetShape{0, 8, "nokey"}),
+                 "non-empty keys and values");
+    EXPECT_DEATH(KvWorkload(10, 0.99, 0.5, DatasetShape{8, 0, "noval"}),
+                 "non-empty keys and values");
+    const KvWorkload wl(10, 0.99, 0.5, kTiny);
+    EXPECT_DEATH(wl.valueFor(""), "empty key");
+}
+
 void
 expectSameStats(const MicaStats &a, const MicaStats &b)
 {

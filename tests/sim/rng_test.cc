@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -145,6 +147,85 @@ TEST(Zipf, LargeKeySpaceConstructionIsUsable)
     ZipfianGenerator z(200'000'000ull, 0.99);
     for (int i = 0; i < 1000; ++i)
         ASSERT_LT(z.next(), 200'000'000ull);
+}
+
+/** FNV-1a over the little-endian bytes of the first 100k samples. */
+std::uint64_t
+zipfDigest(ZipfianGenerator z)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 100'000; ++i) {
+        const std::uint64_t s = z.next();
+        for (int b = 0; b < 8; ++b) {
+            h ^= (s >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+struct ZipfPin
+{
+    std::uint64_t n;
+    double theta;
+    std::uint64_t digest;
+};
+
+// Digests taken at commit 11ea94b, where every construction summed
+// zeta(n, theta) afresh and next() recomputed 1 + 0.5^theta per sample.
+// 200M keys take the approximate-zeta path.
+constexpr ZipfPin kZipfPins[] = {
+    {1'000'000, 0.99, 0xa53c22ab9e389608ull},
+    {1'000'000, 0.9999, 0x5d021a053a18edccull},
+    {200'000, 0.99, 0x10187614a02d7a61ull},
+    {200'000'000, 0.99, 0x8f3b7317a118d0edull},
+    {10, 0.0, 0x78d508713ebd20e8ull},
+};
+
+TEST(Zipf, StreamsMatchUnmemoizedGenerator)
+{
+    // Each pin twice in a row: the second construction reads the memo.
+    for (const ZipfPin &p : kZipfPins)
+        for (int build = 0; build < 2; ++build)
+            EXPECT_EQ(zipfDigest(ZipfianGenerator(p.n, p.theta)), p.digest)
+                << p.n << " keys, theta " << p.theta << ", build " << build;
+}
+
+TEST(Zipf, InterleavedConstructionsKeepTheirStreams)
+{
+    // A, B, A, C and on: each key space gets its own sum back after
+    // other key spaces have replaced it in the memo.
+    const ZipfPin &a = kZipfPins[0], &b = kZipfPins[1], &c = kZipfPins[2];
+    for (const ZipfPin *p : {&a, &b, &a, &c, &kZipfPins[3], &kZipfPins[4],
+                             &b, &a, &c})
+        EXPECT_EQ(zipfDigest(ZipfianGenerator(p->n, p->theta)), p->digest)
+            << p->n << " keys, theta " << p->theta;
+}
+
+TEST(Zipf, ConcurrentConstructionsKeepTheirStreams)
+{
+    // Four threads, each with its own memo, build the pinned
+    // generators at the same time, each pin twice in a row (a miss,
+    // then a hit), starting at different pins.
+    constexpr std::size_t kPins = std::size(kZipfPins);
+    constexpr std::size_t kBuilds = 2 * kPins;
+    std::vector<std::vector<std::uint64_t>> got(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back([t, &got] {
+            for (std::size_t i = 0; i < kBuilds; ++i) {
+                const ZipfPin &p = kZipfPins[(i / 2 + t) % kPins];
+                got[t].push_back(zipfDigest(ZipfianGenerator(p.n, p.theta)));
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        ASSERT_EQ(got[t].size(), kBuilds);
+        for (std::size_t i = 0; i < kBuilds; ++i)
+            EXPECT_EQ(got[t][i], kZipfPins[(i / 2 + t) % kPins].digest)
+                << "thread " << t << ", build " << i;
+    }
 }
 
 } // namespace
