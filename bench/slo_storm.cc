@@ -26,13 +26,12 @@
  *
  * Every row checks exactly-once accounting (issued == completed +
  * timeouts + still-pending) and zero orphan responses.  All
- * randomness is seeded; the JSON is byte-identical across --jobs, and
- * the CI slo-smoke job diffs two shrunk runs
- * (DAGGER_SLO_SMOKE=1) on every push.
+ * randomness is seeded; the JSON is byte-identical across --jobs
+ * (test_determinism_cross_jobs_slo_storm) and pinned by
+ * test_bench_goldens.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -53,6 +52,13 @@ constexpr double kFlightSloP99Us = 1000.0;
 constexpr double kFlightSloP999Us = 5000.0;
 constexpr double kSnSloP99Us = 15000.0;
 constexpr double kSnSloP999Us = 30000.0;
+
+// Storm population and windows: saturation physics (queue excursions,
+// the Social Network admission cap) takes tens of simulated
+// milliseconds to build.
+constexpr std::uint64_t kClients = 1ull << 20;
+constexpr double kFlightDurationMs = 80, kFlightDrainMs = 40;
+constexpr double kSnDurationMs = 200, kSnDrainMs = 50;
 
 struct FlightRow
 {
@@ -90,15 +96,8 @@ struct RowResult
     bool exactly_once = false;
 };
 
-struct StormScale
-{
-    std::uint64_t clients;
-    sim::Tick flightDuration, flightDrain;
-    sim::Tick snDuration, snDrain;
-};
-
 RowResult
-runFlightRow(const FlightRow &row, const StormScale &scale)
+runFlightRow(const FlightRow &row)
 {
     svc::FlightConfig cfg;
     cfg.model = svc::ThreadingModel::Optimized;
@@ -137,11 +136,11 @@ runFlightRow(const FlightRow &row, const StormScale &scale)
                0, row.seed * 2 + 3);
 
     svc::FlightStormSpec storm;
-    storm.clients = scale.clients;
+    storm.clients = kClients;
     storm.cohorts = 64;
     storm.offeredRps = row.offeredKrps * 1000.0;
-    storm.duration = scale.flightDuration;
-    storm.drain = scale.flightDrain;
+    storm.duration = sim::msToTicks(kFlightDurationMs);
+    storm.drain = sim::msToTicks(kFlightDrainMs);
     if (row.diurnal) {
         storm.diurnal.period = storm.duration;
         storm.diurnal.low = 0.25;
@@ -183,17 +182,17 @@ runFlightRow(const FlightRow &row, const StormScale &scale)
 }
 
 RowResult
-runSnRow(const SnRow &row, const StormScale &scale)
+runSnRow(const SnRow &row)
 {
     svc::SocialNetConfig cfg;
     svc::SocialNet sn(cfg);
 
     svc::SnStormSpec storm;
-    storm.clients = scale.clients;
+    storm.clients = kClients;
     storm.cohorts = 64;
     storm.offeredRps = row.qps;
-    storm.duration = scale.snDuration;
-    storm.drain = scale.snDrain;
+    storm.duration = sim::msToTicks(kSnDurationMs);
+    storm.drain = sim::msToTicks(kSnDrainMs);
     // Admission cap: past 24 in-flight requests compose posts shed
     // their Media leg (degraded mode) instead of queueing it too.
     storm.maxInflight = 24;
@@ -222,19 +221,9 @@ runSnRow(const SnRow &row, const StormScale &scale)
 void
 run(BenchContext &ctx)
 {
-    // CI smoke mode: same grid shape, shrunk population and windows.
-    const bool smoke = std::getenv("DAGGER_SLO_SMOKE") != nullptr;
-    StormScale scale;
-    scale.clients = smoke ? (1ull << 16) : (1ull << 20);
-    scale.flightDuration = sim::msToTicks(smoke ? 25 : 80);
-    scale.flightDrain = sim::msToTicks(smoke ? 15 : 40);
-    scale.snDuration = sim::msToTicks(smoke ? 60 : 200);
-    scale.snDrain = sim::msToTicks(smoke ? 25 : 50);
-
     ctx.seed(0x510c4);
-    ctx.config("clients", static_cast<double>(scale.clients));
+    ctx.config("clients", static_cast<double>(kClients));
     ctx.config("cohorts", 64.0);
-    ctx.config("smoke", smoke ? 1.0 : 0.0);
     ctx.config("flight_slo_p99_us", kFlightSloP99Us);
     ctx.config("flight_slo_p999_us", kFlightSloP999Us);
     ctx.config("socialnet_slo_p99_us", kSnSloP99Us);
@@ -261,10 +250,9 @@ run(BenchContext &ctx)
 
     std::vector<std::function<RowResult()>> scenarios;
     for (const FlightRow &row : flight_rows)
-        scenarios.push_back(
-            [row, scale] { return runFlightRow(row, scale); });
+        scenarios.push_back([row] { return runFlightRow(row); });
     for (const SnRow &row : sn_rows)
-        scenarios.push_back([row, scale] { return runSnRow(row, scale); });
+        scenarios.push_back([row] { return runSnRow(row); });
     const std::vector<RowResult> rows =
         ctx.runner().run(std::move(scenarios));
 
@@ -323,21 +311,13 @@ run(BenchContext &ctx)
     // sees.
     ctx.check("flight meets its SLO at nominal load (10-20 Krps)",
               find("capacity-10k").slo && find("capacity-20k").slo);
-    // Saturation physics needs the full windows: queue excursions
-    // (and the Social Network admission cap) take tens of simulated
-    // milliseconds to build, so the shrunk smoke grid only scores the
-    // reliability invariants above.
-    if (!smoke) {
-        ctx.check("the SLO knee sits below the throughput knee: at "
-                  "capacity the load completes but the SLO is gone",
-                  !find("capacity-50k").slo &&
-                      find("capacity-50k").achieved_rps >
-                          0.95 * find("capacity-50k").offered_rps);
-        ctx.check("past the knee the SLO breaks and the Flight tier "
-                  "sheds",
-                  !find("overload-60k").slo &&
-                      find("overload-60k").shed > 0);
-    }
+    ctx.check("the SLO knee sits below the throughput knee: at "
+              "capacity the load completes but the SLO is gone",
+              !find("capacity-50k").slo &&
+                  find("capacity-50k").achieved_rps >
+                      0.95 * find("capacity-50k").offered_rps);
+    ctx.check("past the knee the SLO breaks and the Flight tier sheds",
+              !find("overload-60k").slo && find("overload-60k").shed > 0);
     ctx.check("lossy Flight link degrades legs instead of hanging them",
               find("flight-loss-10%").degraded_frac > 0);
     ctx.check("passenger retries ride out the 2ms blackout",
@@ -346,10 +326,9 @@ run(BenchContext &ctx)
                       0.9 * find("capacity-20k").achieved_rps);
     ctx.check("socialnet meets its SLO at nominal load",
               find("qps-300").slo && find("qps-600").slo);
-    if (!smoke)
-        ctx.check("socialnet overload trips the admission cap into "
-                  "degraded compose",
-                  find("qps-1200").degraded_frac > 0);
+    ctx.check("socialnet overload trips the admission cap into "
+              "degraded compose",
+              find("qps-1200").degraded_frac > 0);
 
     ctx.anchor("flight_capacity_p99_us", 25.0,
                find("capacity-20k").p99_us, 1.0);
