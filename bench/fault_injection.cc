@@ -17,8 +17,8 @@
  * ride it out.
  *
  * All loss decisions come from per-scenario seeded sim::Rng streams:
- * the same seed gives byte-identical JSON (the CI fault-smoke job
- * diffs two runs).
+ * the same seed gives byte-identical JSON (pinned by
+ * test_bench_goldens).
  */
 
 #include <cstdio>

@@ -319,19 +319,6 @@ class SweepRunner
         : _jobs(jobs == 0 ? defaultJobs() : jobs)
     {}
 
-    /** DAGGER_BENCH_JOBS env override, else hardware_concurrency. */
-    static unsigned
-    defaultJobs()
-    {
-        if (const char *env = std::getenv("DAGGER_BENCH_JOBS")) {
-            const long n = std::strtol(env, nullptr, 10);
-            if (n >= 1)
-                return static_cast<unsigned>(n);
-        }
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw == 0 ? 1 : hw;
-    }
-
     unsigned jobs() const { return _jobs; }
 
     /** Run all scenarios; result i is scenarios[i]'s return value. */
@@ -366,6 +353,14 @@ class SweepRunner
     }
 
   private:
+    /** One worker per hardware thread (at least one). */
+    static unsigned
+    defaultJobs()
+    {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw == 0 ? 1 : hw;
+    }
+
     unsigned _jobs;
 };
 
@@ -452,7 +447,7 @@ class BenchContext
                     "usage: %s [--jobs N] [--json [PATH]] "
                     "[--strict]\n"
                     "  --jobs N      scenario worker threads (default: "
-                    "DAGGER_BENCH_JOBS or hardware threads)\n"
+                    "hardware threads)\n"
                     "  --json [PATH] write results to PATH (default "
                     "%s)\n"
                     "  --strict      exit nonzero when a paper anchor "

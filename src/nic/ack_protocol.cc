@@ -184,16 +184,8 @@ AckProtocol::onIngress(net::Packet &pkt)
     const bool is_ack = pkt.frames.size() == 1 &&
         pkt.frames.front().header.fnId == kAckFn;
     if (is_ack) {
-        if (_dropNextAcks > 0) {
-            --_dropNextAcks;
-            return false; // simulated ACK loss
-        }
         onAck(pkt);
         return false; // consumed; never reaches the RPC pipeline
-    }
-    if (_dropNext > 0) {
-        --_dropNext;
-        return false; // simulated wire loss: no delivery, no ACK
     }
     if (!pkt.th.reliable)
         return true; // peer runs no protocol; pass through untouched

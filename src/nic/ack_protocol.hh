@@ -64,20 +64,6 @@ class AckProtocol final : public ProtocolUnit
 
     const char *name() const override { return "ack"; }
 
-    /**
-     * Fault injection: silently discard the next @p n ingress data
-     * packets (no delivery, no ACK) — simulates wire loss for tests
-     * and failure-injection benches.
-     */
-    void dropNextIngress(unsigned n) { _dropNext = n; }
-
-    /**
-     * Fault injection: silently discard the next @p n ingress *ACK*
-     * packets — exercises the lost-ACK path (the peer retransmits a
-     * packet this side already delivered; dedup must suppress it).
-     */
-    void dropNextIngressAcks(unsigned n) { _dropNextAcks = n; }
-
     /** Exposed for tests: the pending-map hash over (conn, seq).  Must
      *  mix every connection-id bit (a shift past bit 32 of a 64-bit
      *  lane would silently drop high conn bits). */
@@ -185,8 +171,6 @@ class AckProtocol final : public ProtocolUnit
     std::unordered_map<std::uint32_t, RxConn> _rx;
     std::unordered_map<FragKey, FragBuf, FragKeyHash> _frags;
 
-    unsigned _dropNext = 0;
-    unsigned _dropNextAcks = 0;
     std::uint64_t _acksSent = 0;
     std::uint64_t _acksReceived = 0;
     std::uint64_t _retransmissions = 0;

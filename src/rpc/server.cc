@@ -222,13 +222,6 @@ RpcThreadedServer::registerHandler(proto::FnId fn, const Handler &handler)
 }
 
 void
-RpcThreadedServer::setWorkerPool(WorkerPool *pool)
-{
-    for (auto &t : _threads)
-        t->setWorkerPool(pool);
-}
-
-void
 RpcThreadedServer::setShedPolicy(ShedPolicy policy)
 {
     for (auto &t : _threads)

@@ -217,9 +217,6 @@ class RpcThreadedServer
     /** Register @p handler for @p fn on all current threads. */
     void registerHandler(proto::FnId fn, const Handler &handler);
 
-    /** Apply the Optimized threading model to all threads. */
-    void setWorkerPool(WorkerPool *pool);
-
     /** Apply a shed policy to all threads. */
     void setShedPolicy(ShedPolicy policy);
 

@@ -55,15 +55,6 @@ TEST(SweepRunner, EveryScenarioRunsExactlyOnce)
     }
 }
 
-TEST(SweepRunner, DefaultJobsHonorsEnvOverride)
-{
-    ::setenv("DAGGER_BENCH_JOBS", "3", 1);
-    EXPECT_EQ(SweepRunner::defaultJobs(), 3u);
-    EXPECT_EQ(SweepRunner().jobs(), 3u);
-    ::unsetenv("DAGGER_BENCH_JOBS");
-    EXPECT_GE(SweepRunner::defaultJobs(), 1u);
-}
-
 /** One fig11-style operating point: an isolated EchoRig load step. */
 Point
 fig11Point(unsigned batch, double load_mrps)

@@ -22,13 +22,9 @@ using sim::usToTicks;
 
 struct AckRig
 {
-    /**
-     * @param drop_every  unused shaping knob kept for symmetry
-     * @param mtu_frames  protocol fragmentation MTU (0 = no fragmenting)
-     */
-    explicit AckRig(std::size_t drop_every = 0, std::size_t mtu_frames = 0)
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2),
-          dropEvery(drop_every)
+    /** @param mtu_frames protocol fragmentation MTU (0 = no fragmenting) */
+    explicit AckRig(std::size_t mtu_frames = 0)
+        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
     {
         nic::NicConfig cfg;
         cfg.numFlows = 1;
@@ -63,7 +59,6 @@ struct AckRig
 
     DaggerSystem sys;
     CpuSet cpus;
-    std::size_t dropEvery;
     DaggerNode *clientNode;
     DaggerNode *serverNode;
     nic::AckProtocol *clientAck;
@@ -94,10 +89,13 @@ TEST(AckProtocol, TransparentOnLosslessNetwork)
 TEST(AckProtocol, RetriesThenGivesUpOnPersistentLoss)
 {
     AckRig rig;
-    // Persistent loss: the server side swallows every copy of the
+    // Persistent loss: the server's link swallows every copy of the
     // request; the client retries up to its budget, then records the
     // loss and cleans up.
-    rig.serverAck->dropNextIngress(1000);
+    net::FaultSpec spec;
+    spec.dropP = 1.0;
+    net::FaultInjector fi(rig.sys.eq(), spec);
+    fi.install(rig.sys.tor().attach(rig.serverNode->id()));
     std::uint64_t done = 0;
     std::uint64_t v = 7;
     rig.client->callPod(1, v, [&](const proto::RpcMessage &) { ++done; });
@@ -106,14 +104,18 @@ TEST(AckProtocol, RetriesThenGivesUpOnPersistentLoss)
     EXPECT_EQ(rig.clientAck->retransmissions(), 4u); // max retries
     EXPECT_EQ(rig.clientAck->lost(), 1u);
     EXPECT_EQ(rig.clientAck->unacked(), 0u); // gave up cleanly
+    EXPECT_EQ(fi.droppedCount(), 5u);        // the request, 4 resends
 }
 
 TEST(AckProtocol, RecoversFromTransientLoss)
 {
     AckRig rig;
-    // Drop the first two copies of the request; the third
+    // Drop the first two copies of the request; the second
     // retransmission gets through and the RPC completes end to end.
-    rig.serverAck->dropNextIngress(2);
+    net::FaultInjector fi(rig.sys.eq());
+    fi.install(rig.sys.tor().attach(rig.serverNode->id()));
+    fi.scriptDrop(1);
+    fi.scriptDrop(2);
     std::uint64_t done = 0;
     std::uint64_t v = 9;
     rig.client->callPod(1, v, [&](const proto::RpcMessage &resp) {
@@ -204,7 +206,7 @@ TEST(AckProtocol, DelayedAckTriggersRetransmitButNoDuplicateDelivery)
 // was never retransmitted.
 TEST(AckProtocol, DroppedMiddleFragmentRetransmitsAndDeliversOnce)
 {
-    AckRig rig(0, /*mtu_frames=*/1); // every frame is its own packet
+    AckRig rig(/*mtu_frames=*/1); // every frame is its own packet
     net::FaultInjector fi(rig.sys.eq());
     fi.install(rig.sys.tor().attach(rig.serverNode->id()));
     fi.scriptDrop(2); // the middle fragment of the 3-packet request
@@ -240,7 +242,10 @@ TEST(AckProtocol, DroppedMiddleFragmentRetransmitsAndDeliversOnce)
 TEST(AckProtocol, LostAckRetransmitIsDeduplicated)
 {
     AckRig rig;
-    rig.clientAck->dropNextIngressAcks(1); // lose the request's ACK
+    net::FaultInjector fi(rig.sys.eq());
+    fi.install(rig.sys.tor().attach(rig.clientNode->id()));
+    // First packet to arrive at the client is the request's ACK.
+    fi.scriptDrop(1);
 
     std::uint64_t done = 0;
     std::uint64_t v = 5;
@@ -265,7 +270,12 @@ TEST(AckProtocol, LostAckRetransmitIsDeduplicated)
 TEST(AckProtocol, AckLossExhaustionReportsLostAndReclaimsPending)
 {
     AckRig rig;
-    rig.clientAck->dropNextIngressAcks(1000);
+    net::FaultInjector fi(rig.sys.eq());
+    fi.install(rig.sys.tor().attach(rig.clientNode->id()));
+    // The client's link carries the request's ACK, the response, then
+    // one re-ACK per retransmit: drop every packet but the response.
+    for (std::uint64_t nth : {1, 3, 4, 5, 6})
+        fi.scriptDrop(nth);
 
     std::uint64_t done = 0;
     std::uint64_t v = 6;
@@ -281,6 +291,7 @@ TEST(AckProtocol, AckLossExhaustionReportsLostAndReclaimsPending)
     EXPECT_EQ(rig.clientAck->lost(), 1u);
     EXPECT_EQ(rig.clientAck->unacked(), 0u); // reclaimed
     EXPECT_EQ(rig.clientAck->acksReceived(), 0u);
+    EXPECT_EQ(fi.droppedCount(), 5u);
 }
 
 // A corrupted frame must fail the ingress checksum gate *before* the

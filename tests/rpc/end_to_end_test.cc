@@ -180,7 +180,7 @@ TEST(EndToEnd, WorkerPoolModelStillCorrect)
     Rig rig;
     WorkerPool pool(rig.sys, {&rig.cpus.core(2).thread(0),
                               &rig.cpus.core(2).thread(1)});
-    rig.server->setWorkerPool(&pool);
+    rig.server->serverThread(0).setWorkerPool(&pool);
     std::uint64_t done = 0;
     for (int i = 0; i < 50; ++i) {
         std::uint64_t v = i;
@@ -198,7 +198,7 @@ TEST(EndToEnd, WorkerModelAddsLatency)
         Rig rig;
         WorkerPool pool(rig.sys, {&rig.cpus.core(2).thread(0)});
         if (worker)
-            rig.server->setWorkerPool(&pool);
+            rig.server->serverThread(0).setWorkerPool(&pool);
         for (int i = 0; i < 20; ++i) {
             rig.sys.eq().scheduleAt(usToTicks(i * 10), [&rig] {
                 std::uint64_t v = 1;

@@ -154,7 +154,7 @@ TEST(StackSweep, ConservationIntegrityFifoAndDrain)
     for (const SweepParam &param : grid)
         scenarios.push_back([param] { return runSweepPoint(param); });
     const std::vector<SweepVerdict> verdicts =
-        bench::SweepRunner().run(std::move(scenarios));
+        bench::SweepRunner(4).run(std::move(scenarios));
 
     ASSERT_EQ(verdicts.size(), grid.size());
     for (const SweepVerdict &v : verdicts) {
