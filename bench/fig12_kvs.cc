@@ -124,10 +124,12 @@ runMica(DatasetShape shape, double theta)
         MicaBackend backend(store);
         KvWorkload wl(kMicaKeys, theta, get_ratio, shape);
         // Populate every key (the paper pre-loads the dataset).
-        for (std::uint64_t i = 0; i < kMicaKeys; ++i) {
-            const auto key = wl.keyFor(i);
-            store.partition(0).set(key, wl.valueFor(key));
-        }
+        store.partition(0).setMany(
+            kMicaKeys, shape.keyLen, shape.valLen,
+            [&wl, &shape](std::uint64_t i, char *key, char *value) {
+                wl.keyInto(i, key);
+                wl.valueInto({key, shape.keyLen}, value);
+            });
         // Warm the LLC-residency model to its steady state: the paper
         // measures a long-running server whose cache already holds the
         // hot working set.

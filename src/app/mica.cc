@@ -1,8 +1,5 @@
 #include "app/mica.hh"
 
-#include "nic/load_balancer.hh"
-#include "sim/logging.hh"
-
 namespace dagger::app {
 
 namespace {
@@ -54,12 +51,6 @@ MicaPartition::MicaPartition(std::size_t log_bytes,
     _buckets = {b, index_buckets};
     _victims = reinterpret_cast<std::uint8_t *>(b + index_buckets);
     std::uninitialized_value_construct_n(_victims, index_buckets);
-}
-
-std::size_t
-MicaPartition::bucketFor(std::uint64_t hash) const
-{
-    return (hash >> 16) & (_buckets.size() - 1);
 }
 
 std::uint16_t

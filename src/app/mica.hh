@@ -24,6 +24,9 @@
 #include <string_view>
 #include <vector>
 
+#include "nic/load_balancer.hh"
+#include "sim/logging.hh"
+#include "sim/prefetch.hh"
 #include "sim/time.hh"
 
 namespace dagger::app {
@@ -78,6 +81,54 @@ class MicaPartition
     void set(std::string_view key, std::uint64_t hash,
              std::string_view value);
 
+    /** Key and value bytes setMany() stages per key, at most. */
+    static constexpr std::size_t kBulkKeyMax = 64;
+    static constexpr std::size_t kBulkValueMax = 256;
+
+    /**
+     * Bulk insert, the same as set() of keys 0..n-1 in order: the same
+     * log bytes and offsets, index entries, victim cursors and stats().
+     * @p fill(i, key, value) writes key i's @p key_len bytes into
+     * @p key and its value's @p val_len bytes into @p value.  Keys are
+     * staged kBulkAhead ahead of their insert, each hashed from the
+     * state of the prefix it shares with the key before it
+     * (nic::ObjectKeyHasher), and the bucket each lands in is
+     * prefetched while the keys before it go in.
+     */
+    template <class Fill>
+    void
+    setMany(std::uint64_t n, std::size_t key_len, std::size_t val_len,
+            Fill &&fill)
+    {
+        dagger_assert(key_len <= kBulkKeyMax && val_len <= kBulkValueMax,
+                      "setMany stages keys up to ", kBulkKeyMax,
+                      " B and values up to ", kBulkValueMax, " B, got ",
+                      key_len, " and ", val_len);
+        struct Staged
+        {
+            std::uint64_t hash;
+            char key[kBulkKeyMax];
+            char value[kBulkValueMax];
+        };
+        Staged ring[kBulkAhead];
+        nic::ObjectKeyHasher hasher;
+        auto stage = [&](std::uint64_t i) {
+            Staged &s = ring[i % kBulkAhead];
+            fill(i, s.key, s.value);
+            s.hash = hasher(reinterpret_cast<const std::uint8_t *>(s.key),
+                            key_len);
+            DAGGER_PREFETCH_W(&_buckets[bucketFor(s.hash)]);
+        };
+        for (std::uint64_t i = 0; i < n && i < kBulkAhead; ++i)
+            stage(i);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const Staged &s = ring[i % kBulkAhead];
+            set({s.key, key_len}, s.hash, {s.value, val_len});
+            if (i + kBulkAhead < n)
+                stage(i + kBulkAhead);
+        }
+    }
+
     /** Fetch; nullopt on miss (never stored, displaced, or wrapped). */
     std::optional<std::string> get(std::string_view key)
     {
@@ -98,6 +149,8 @@ class MicaPartition
 
   private:
     static constexpr unsigned kWays = 8;
+    /// How many keys setMany() stages ahead of the one it inserts.
+    static constexpr std::uint64_t kBulkAhead = 8;
 
     /** One cache line of packed index entries (layout in mica.cc). */
     struct alignas(64) Bucket
@@ -113,7 +166,12 @@ class MicaPartition
         std::uint16_t valLen;
     };
 
-    std::size_t bucketFor(std::uint64_t hash) const;
+    std::size_t
+    bucketFor(std::uint64_t hash) const
+    {
+        return (hash >> 16) & (_buckets.size() - 1);
+    }
+
     static std::uint16_t tagOf(std::uint64_t hash);
 
     /** The way whose live record holds @p key; copies its value out. */

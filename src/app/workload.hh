@@ -78,40 +78,57 @@ class KvWorkload
                            static_cast<char>(i)) % 26);
     }
 
-    /** Deterministic fixed-width key for index @p i. */
+    /**
+     * Deterministic fixed-width key for index @p i: its base-36 digits,
+     * zero-padded to keyLen.  keyInto() writes the keyLen bytes to
+     * @p out; keyFor() returns them as a string.
+     */
+    void
+    keyInto(std::uint64_t i, char *out) const
+    {
+        std::fill_n(out, _shape.keyLen, '0');
+        for (std::size_t pos = _shape.keyLen; pos-- > 0 && i > 0; i /= 36) {
+            const auto digit = static_cast<char>(i % 36);
+            out[pos] = digit < 10 ? static_cast<char>('0' + digit)
+                                  : static_cast<char>('a' + digit - 10);
+        }
+    }
+
     std::string
     keyFor(std::uint64_t i) const
     {
         std::string key(_shape.keyLen, '0');
-        for (std::size_t pos = key.size(); pos-- > 0 && i > 0; i /= 36) {
-            const auto digit = static_cast<char>(i % 36);
-            key[pos] = digit < 10 ? static_cast<char>('0' + digit)
-                                  : static_cast<char>('a' + digit - 10);
-        }
+        keyInto(i, key.data());
         return key;
     }
 
     /**
      * Deterministic value for a key (integrity-checkable): byte i is
      * 'A' + (key[i % key.size()] * 31 + char(i)) % 26, in char
-     * arithmetic.  The key must not be empty.
+     * arithmetic.  The key must not be empty.  valueInto() writes the
+     * valLen bytes to @p out; valueFor() returns them as a string.
      */
-    std::string
-    valueFor(std::string_view key) const
+    void
+    valueInto(std::string_view key, char *out) const
     {
-        dagger_assert(!key.empty(), "KvWorkload::valueFor with an empty key");
+        dagger_assert(!key.empty(), "KvWorkload: the value of an empty key");
         // One table load per byte, the key walked in whole blocks so
         // the loop does no division by the run-time key length.
-        std::string v(_shape.valLen, 'v');
         const auto *kb = reinterpret_cast<const unsigned char *>(key.data());
         const char *table = _valueBytes.data();
-        char *out = v.data();
-        const std::size_t len = v.size();
+        const std::size_t len = _shape.valLen;
         for (std::size_t i = 0; i < len;) {
             const std::size_t n = std::min(len - i, key.size());
             for (std::size_t k = 0; k < n; ++k, ++i)
                 out[i] = table[kb[k] * len + i];
         }
+    }
+
+    std::string
+    valueFor(std::string_view key) const
+    {
+        std::string v(_shape.valLen, 'v');
+        valueInto(key, v.data());
         return v;
     }
 

@@ -21,11 +21,9 @@ lbSchemeName(LbScheme scheme)
 std::uint64_t
 objectKeyHash(const std::uint8_t *data, std::size_t len)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
+    std::uint64_t h = detail::kFnvBasis;
+    for (std::size_t i = 0; i < len; ++i)
+        h = detail::fnvStep(h, data[i]);
     return h;
 }
 

@@ -3,13 +3,7 @@
 #include <algorithm>
 
 #include "sim/check.hh"
-
-// Cache-warming hint; correctness never depends on it.
-#if defined(__GNUC__)
-#define DAGGER_PREFETCH_W(addr) __builtin_prefetch((addr), 1)
-#else
-#define DAGGER_PREFETCH_W(addr) ((void)0)
-#endif
+#include "sim/prefetch.hh"
 
 namespace dagger::sim {
 

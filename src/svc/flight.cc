@@ -1,5 +1,9 @@
 #include "svc/flight.hh"
 
+#include <array>
+#include <cstring>
+#include <string_view>
+
 #include "sim/logging.hh"
 
 namespace dagger::svc {
@@ -26,18 +30,37 @@ struct TierResp
 };
 #pragma pack(pop)
 
-/** @p pid as 16 lowercase, zero-padded hex digits ("%016" PRIx64). */
-std::string
+/** Bytes of a passenger's store key. */
+constexpr std::size_t kKeyLen = 16;
+
+/** Writes @p pid to @p out as 16 lowercase, zero-padded hex digits
+ *  ("%016" PRIx64). */
+void
+keyInto(std::uint64_t pid, char *out)
+{
+    for (std::size_t pos = kKeyLen; pos-- > 0; pid >>= 4)
+        out[pos] = "0123456789abcdef"[pid & 0xf];
+}
+
+/** A passenger's store key, held inline. */
+struct PassengerKey
+{
+    std::array<char, kKeyLen> hex;
+
+    operator std::string_view() const { return {hex.data(), hex.size()}; }
+};
+
+PassengerKey
 keyFor(std::uint64_t pid)
 {
-    std::string key(16, '0');
-    for (std::size_t pos = key.size(); pos-- > 0; pid >>= 4)
-        key[pos] = "0123456789abcdef"[pid & 0xf];
+    PassengerKey key;
+    keyInto(pid, key.hex.data());
     return key;
 }
 
-/** Pre-seeded Citizens records. */
+/** Pre-seeded Citizens records, ids 1..kCitizens. */
 constexpr std::uint64_t kCitizens = 200'000;
+constexpr std::string_view kCitizenRecord = "citizen-ok";
 
 /** Fig. 13's calls between tiers {caller, callee}, in connection
  *  order.  Each callee has one caller tier. */
@@ -105,8 +128,12 @@ FlightApp::buildTiers()
     // Stores: single-partition MICA caches behind the two DB tiers.
     _airportStore = std::make_unique<app::MicaKvs>(1, 16u << 20, 1u << 15);
     _citizensStore = std::make_unique<app::MicaKvs>(1, 32u << 20, 1u << 16);
-    for (std::uint64_t pid = 1; pid <= kCitizens; ++pid)
-        _citizensStore->partition(0).set(keyFor(pid), "citizen-ok");
+    _citizensStore->partition(0).setMany(
+        kCitizens, kKeyLen, kCitizenRecord.size(),
+        [](std::uint64_t i, char *key, char *value) {
+            keyInto(i + 1, key);
+            std::memcpy(value, kCitizenRecord.data(), kCitizenRecord.size());
+        });
 
     _airportBackend = std::make_unique<app::MicaBackend>(*_airportStore);
     _citizensBackend = std::make_unique<app::MicaBackend>(*_citizensStore);

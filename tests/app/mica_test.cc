@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -343,6 +345,148 @@ TEST(MicaPartition, PackedIndexMatchesReferenceLayout)
     EXPECT_GT(seen.logWraps, 0u);
     EXPECT_GT(erased, 0u);
     EXPECT_GT(sameTagHits, 0u);
+}
+
+/** One setMany() workload: key and value lengths and their filler. */
+struct BulkCase
+{
+    const char *name;
+    std::size_t keyLen;
+    std::size_t valLen;
+    std::function<void(std::uint64_t, char *, char *)> fill;
+};
+
+/** Flight's Citizens key i: id i + 1 as 16 hex digits. */
+void
+flightKey(std::uint64_t i, char *key)
+{
+    char text[17];
+    std::snprintf(text, sizeof(text), "%016llx",
+                  static_cast<unsigned long long>(i + 1));
+    std::memcpy(key, text, 16);
+}
+
+/**
+ * setMany() on one partition and set() of the same keys one at a time
+ * on another end alike: equal stats, equal get() of every key, and
+ * equal results for a follow-up stream that laps part of the log.
+ */
+void
+expectBulkMatchesSets(const BulkCase &c, std::uint64_t n,
+                      std::size_t log_bytes, std::size_t buckets,
+                      MicaStats &seen)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << c.name << " n " << n << " log " << log_bytes
+                 << " buckets " << buckets);
+    MicaPartition bulk(log_bytes, buckets);
+    MicaPartition seq(log_bytes, buckets);
+    bulk.setMany(n, c.keyLen, c.valLen, c.fill);
+    std::vector<std::string> keys;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::string key(c.keyLen, '\0'), value(c.valLen, '\0');
+        c.fill(i, key.data(), value.data());
+        seq.set(key, value);
+        keys.push_back(std::move(key));
+    }
+    ASSERT_EQ(statsOf(bulk.stats()), statsOf(seq.stats()));
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_EQ(bulk.get(keys[i]), seq.get(keys[i])) << "key " << i;
+    // Equal head offsets: later records land, and lap, alike.
+    dagger::sim::Rng rng(n + log_bytes);
+    for (int op = 0; op < 200 && n > 0; ++op) {
+        const std::string &key = keys[rng.range(n)];
+        if (rng.chance(0.5)) {
+            const std::string value(rng.range(40), 'w');
+            bulk.set(key, value);
+            seq.set(key, value);
+        } else {
+            ASSERT_EQ(bulk.get(key), seq.get(key)) << "op " << op;
+        }
+    }
+    ASSERT_EQ(statsOf(bulk.stats()), statsOf(seq.stats()));
+    seen.merge(bulk.stats());
+}
+
+TEST(MicaPartition, BulkLoadMatchesSequentialSets)
+{
+    const KvWorkload small(1000, 0.99, 0.5, kSmall);
+    const KvWorkload tiny(1000, 0.99, 0.5, kTiny);
+    const auto kv = [](const KvWorkload &wl) {
+        return [&wl](std::uint64_t i, char *key, char *value) {
+            wl.keyInto(i, key);
+            wl.valueInto({key, wl.shape().keyLen}, value);
+        };
+    };
+    const std::vector<BulkCase> cases = {
+        {"flight", 16, 10,
+         [](std::uint64_t i, char *key, char *value) {
+             flightKey(i, key);
+             std::memcpy(value, "citizen-ok", 10);
+         }},
+        {"small", kSmall.keyLen, kSmall.valLen, kv(small)},
+        {"tiny", kTiny.keyLen, kTiny.valLen, kv(tiny)},
+        // Five keys over and over: the overwrite path inside a batch.
+        {"repeats", 16, 1,
+         [](std::uint64_t i, char *key, char *value) {
+             flightKey(i % 5, key);
+             value[0] = static_cast<char>('a' + i % 26);
+         }},
+        // The largest records setMany() stages, one byte per key.
+        {"widest", MicaPartition::kBulkKeyMax, MicaPartition::kBulkValueMax,
+         [](std::uint64_t i, char *key, char *value) {
+             std::memset(key, 'k', MicaPartition::kBulkKeyMax);
+             std::memcpy(key + MicaPartition::kBulkKeyMax - 8, &i, 8);
+             std::memset(value, static_cast<int>('A' + i % 26),
+                         MicaPartition::kBulkValueMax);
+         }},
+    };
+    // Around the staging distance (8), and past many batches.
+    const std::uint64_t counts[] = {0, 1, 7, 8, 9, 17, 600};
+    // One bucket forces displacements; a 4 KB log wraps inside a
+    // batch (every 12 records of the widest shape).
+    const std::pair<std::size_t, std::size_t> stores[] = {
+        {4096, 1}, {4096, 8}, {1 << 20, 1}, {1 << 20, 64}};
+
+    MicaStats seen;
+    for (const BulkCase &c : cases)
+        for (std::uint64_t n : counts)
+            for (const auto &[log_bytes, buckets] : stores) {
+                expectBulkMatchesSets(c, n, log_bytes, buckets, seen);
+                if (HasFatalFailure())
+                    return;
+            }
+
+    // Several batches into one partition, of varying value lengths.
+    MicaPartition bulk(1 << 14, 4);
+    MicaPartition seq(1 << 14, 4);
+    for (std::size_t val_len : {1u, 10u, 32u, 255u, 3u}) {
+        const auto fill = [val_len](std::uint64_t i, char *key,
+                                    char *value) {
+            flightKey(i * 3, key);
+            std::memset(value, static_cast<int>('a' + val_len % 26),
+                        val_len);
+        };
+        bulk.setMany(300, 16, val_len, fill);
+        for (std::uint64_t i = 0; i < 300; ++i) {
+            char key[16];
+            std::string value(val_len, '\0');
+            fill(i, key, value.data());
+            seq.set({key, 16}, value);
+        }
+        ASSERT_EQ(statsOf(bulk.stats()), statsOf(seq.stats()))
+            << "value length " << val_len;
+    }
+    for (std::uint64_t i = 0; i < 900; ++i) {
+        char key[16];
+        flightKey(i, key);
+        ASSERT_EQ(bulk.get({key, 16}), seq.get({key, 16})) << "key " << i;
+    }
+    seen.merge(bulk.stats());
+    EXPECT_GT(seen.indexEvictions, 0u);
+    EXPECT_GT(seen.logWraps, 0u);
+    EXPECT_GT(seen.getHits, 0u);
+    EXPECT_LT(seen.getHits, seen.gets);
 }
 
 TEST(MicaKvs, PartitioningMatchesNicLoadBalancer)

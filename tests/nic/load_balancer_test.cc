@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "net/fault_injector.hh"
 #include "nic/load_balancer.hh"
+#include "sim/rng.hh"
 #include "tests/nic/steering_rig.hh"
 
 namespace {
@@ -164,6 +167,82 @@ TEST(ObjectLevelLb, UnreassembledRequestCountsAsMalformed)
     EXPECT_GE(sendKey(rig, conn, 5), 0);
     EXPECT_EQ(mon.malformed.value(), 1u);
     EXPECT_EQ(mon.rpcsIn.value(), 1u);
+}
+
+/** objectKeyHash() of @p key's bytes. */
+std::uint64_t
+fullHash(const std::string &key)
+{
+    return objectKeyHash(reinterpret_cast<const std::uint8_t *>(key.data()),
+                         key.size());
+}
+
+/** @p i in base @p radix, zero-padded to @p width digits. */
+std::string
+digitsOf(std::uint64_t i, unsigned radix, std::size_t width)
+{
+    std::string key(width, '0');
+    for (std::size_t pos = width; pos-- > 0 && i > 0; i /= radix)
+        key[pos] = "0123456789abcdefghijklmnopqrstuvwxyz"[i % radix];
+    return key;
+}
+
+TEST(ObjectKeyHasher, MatchesObjectKeyHash)
+{
+    // One hasher over every stream, so each stream starts from the
+    // prefix the previous one left.
+    std::vector<std::string> keys;
+    // Sequential keys: the last digit changes every key, and carries
+    // ripple through up to every digit.
+    for (std::uint64_t i = 0; i < 5000; ++i)
+        keys.push_back(digitsOf(i, 16, 16));
+    for (std::uint64_t i = 0xfffff0; i < 0x1000010; ++i)
+        keys.push_back(digitsOf(i, 16, 16));
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        keys.push_back(digitsOf(i * 7, 36, 16));
+    for (std::uint64_t i = 46600; i < 46700; ++i) // 36^3 = 46656
+        keys.push_back(digitsOf(i, 36, 8));
+    // A key twice, then shorter and longer ones sharing its prefix,
+    // the empty key and the repeated empty key.
+    const std::string base = "0000000000abcdef";
+    for (const std::string &k :
+         {base, base, base.substr(0, 15), base.substr(0, 3), base,
+          base + "g", base + "gh", base.substr(0, 15) + "x", std::string(),
+          std::string(), base})
+        keys.push_back(k);
+    // Keys longer than the kept prefix that share, or differ in, bytes
+    // past it.
+    const std::string longBase(ObjectKeyHasher::kPrefixMax + 9, 'L');
+    for (std::size_t at : {std::size_t{0}, ObjectKeyHasher::kPrefixMax - 1,
+                           ObjectKeyHasher::kPrefixMax,
+                           ObjectKeyHasher::kPrefixMax + 5}) {
+        std::string k = longBase;
+        k[at] = 'M';
+        keys.push_back(longBase);
+        keys.push_back(k);
+        keys.push_back(k.substr(0, ObjectKeyHasher::kPrefixMax));
+    }
+    // Random keys of 0-48 bytes, every byte value, some sharing a
+    // random-length prefix with the key before.
+    sim::Rng rng(0x6b6579);
+    for (int i = 0; i < 4000; ++i) {
+        std::string k(rng.range(49), '\0');
+        for (char &c : k)
+            c = static_cast<char>(rng.range(256));
+        if (!keys.back().empty() && rng.chance(0.5)) {
+            const std::size_t keep = rng.range(keys.back().size() + 1);
+            k = keys.back().substr(0, keep) + k;
+        }
+        keys.push_back(k);
+    }
+
+    ObjectKeyHasher hasher;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        ASSERT_EQ(hasher(reinterpret_cast<const std::uint8_t *>(
+                             keys[i].data()),
+                         keys[i].size()),
+                  fullHash(keys[i]))
+            << "key " << i << " of " << keys[i].size() << " B";
 }
 
 TEST(LbNames, AreStable)
