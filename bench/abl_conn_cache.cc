@@ -64,7 +64,6 @@ runWith(std::size_t cache_entries, unsigned connections)
                                     nic::LbScheme::Static));
 
     // Round-robin over connections, modest open-loop load.
-    sim::Rng rng(7);
     unsigned next = 0;
     for (int i = 0; i < 4000; ++i) {
         cnode.eq().scheduleAt(sim::nsToTicks(500.0 * i), [&, i] {

@@ -329,11 +329,6 @@ class SweepRunner
         std::vector<R> results(scenarios.size());
         const unsigned workers = static_cast<unsigned>(
             std::min<std::size_t>(_jobs, scenarios.size()));
-        if (workers <= 1) {
-            for (std::size_t i = 0; i < scenarios.size(); ++i)
-                results[i] = scenarios[i]();
-            return results;
-        }
         std::atomic<std::size_t> next{0};
         auto worker = [&scenarios, &results, &next] {
             for (;;) {

@@ -90,9 +90,6 @@ struct SoftConfig
      *  median latency at low load relative to B=1. */
     sim::Tick batchTimeout = sim::usToTicks(0.5);
 
-    /** Active flows (<= NicConfig::numFlows). */
-    unsigned activeFlows = 0; ///< 0 means "all configured flows"
-
     /**
      * Load threshold (fetches/us) above which the FPGA switches from
      * local-cache polling to direct LLC polling (§4.4.1).

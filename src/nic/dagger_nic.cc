@@ -40,7 +40,7 @@ DaggerNic::attachFlow(unsigned flow, rpc::TxRing *tx, rpc::RxRing *rx)
     dagger_assert(tx && rx, "attachFlow with null rings");
     _flows[flow].tx = tx;
     _flows[flow].rx = rx;
-    tx->setNotify([this, flow] { maybeFetch(flow); });
+    tx->setNotify([this, flow] { drain(Dir::Fetch, flow); });
 }
 
 bool
@@ -78,57 +78,75 @@ DaggerNic::protocolEgress(net::Packet pkt)
     _net.send(std::move(pkt));
 }
 
-// ------------------------- RX path (host -> net) -------------------------
+// --------------- CCI-P batching (fetches and posts alike) ---------------
+
+std::size_t
+DaggerNic::readyFrames(Dir dir, unsigned flow) const
+{
+    const FlowState &fs = _flows[flow];
+    if (dir == Dir::Post)
+        return fs.rx ? _reqBuffer.flowDepth(flow) : 0;
+    // A flow out of fetch credits has nothing ready: its next
+    // completion re-triggers the drain.
+    return fs.tx && fs.outstandingFetches < kMaxFlowFetches
+        ? fs.tx->pendingFrames()
+        : 0;
+}
 
 void
-DaggerNic::maybeFetch(unsigned flow)
+DaggerNic::issue(Dir dir, unsigned flow, std::size_t frames)
 {
-    FlowState &fs = _flows[flow];
-    if (!fs.tx)
-        return;
+    if (dir == Dir::Fetch)
+        issueFetch(flow, frames);
+    else
+        issuePost(flow, frames);
+}
+
+void
+DaggerNic::drain(Dir dir, unsigned flow)
+{
     const unsigned B = effectiveBatch();
     for (;;) {
-        const std::size_t avail = fs.tx->pendingFrames();
-        if (avail == 0)
+        const std::size_t ready = readyFrames(dir, flow);
+        if (ready == 0)
             return;
-        if (fs.outstandingFetches >= kMaxFlowFetches)
-            return; // completion will re-trigger
         if (_soft.autoBatch) {
-            // Pull whatever is ready, up to the hardware burst cap.
-            issueFetch(flow, std::min(avail, kHwMaxBatch));
+            // Move whatever is ready, up to the hardware burst cap.
+            issue(dir, flow, std::min(ready, kHwMaxBatch));
             continue;
         }
-        if (avail >= B) {
-            issueFetch(flow, B);
+        if (ready >= B) {
+            issue(dir, flow, B);
             continue;
         }
-        // Partial batch: wait for more entries or flush on timeout.
-        armFetchTimeout(flow);
+        // Partial batch: wait for more frames or flush on timeout.
+        armFlush(dir, flow);
         return;
     }
 }
 
 void
-DaggerNic::armFetchTimeout(unsigned flow)
+DaggerNic::armFlush(Dir dir, unsigned flow)
 {
-    FlowState &fs = _flows[flow];
-    if (fs.fetchTimeoutArmed)
+    bool &armed = _flows[flow].flushArmed[static_cast<unsigned>(dir)];
+    if (armed)
         return;
-    fs.fetchTimeoutArmed = true;
+    armed = true;
     _eq.schedule(_soft.batchTimeout,
-                 [this, flow] {
-                     FlowState &f = _flows[flow];
-                     f.fetchTimeoutArmed = false;
-                     const std::size_t avail = f.tx->pendingFrames();
-                     if (avail > 0 && avail < effectiveBatch() &&
-                         f.outstandingFetches < kMaxFlowFetches) {
+                 [this, dir, flow] {
+                     _flows[flow].flushArmed[static_cast<unsigned>(dir)] =
+                         false;
+                     const std::size_t ready = readyFrames(dir, flow);
+                     if (ready > 0 && ready < effectiveBatch()) {
                          _monitor.timeoutFlushes.inc();
-                         issueFetch(flow, avail);
+                         issue(dir, flow, ready);
                      }
-                     maybeFetch(flow);
+                     drain(dir, flow);
                  },
                  sim::Priority::Hardware);
 }
+
+// ------------------------- RX path (host -> net) -------------------------
 
 void
 DaggerNic::issueFetch(unsigned flow, std::size_t frames)
@@ -137,7 +155,7 @@ DaggerNic::issueFetch(unsigned flow, std::size_t frames)
     const BatchSlot slot = _batches.park(fs.tx->popFrames(frames));
     dagger_assert(_batches.at(slot).size() == frames, "ring under-delivered");
     ++fs.outstandingFetches;
-    // The RX FSM pipelines asynchronous reads but maybeFetch() stops
+    // The RX FSM pipelines asynchronous reads but drain() stops
     // issuing at the per-flow credit limit; exceeding it means a
     // completion was lost or double-counted.
     DAGGER_INVARIANT(fs.outstandingFetches <= kMaxFlowFetches,
@@ -200,7 +218,7 @@ DaggerNic::serializeBatch(unsigned flow, BatchSlot slot)
         f.partial.clear();
     }
     proto::recycleBurst(std::move(frames));
-    maybeFetch(flow);
+    drain(Dir::Fetch, flow);
 }
 
 void
@@ -294,9 +312,9 @@ DaggerNic::steerMessage(std::vector<proto::Frame> frames)
     _monitor.rpcsIn.inc();
     _monitor.bytesIn.inc(wire_bytes);
     if (penalty == 0) {
-        maybePost(flow);
+        drain(Dir::Post, flow);
     } else {
-        auto post = [this, flow] { maybePost(flow); };
+        auto post = [this, flow] { drain(Dir::Post, flow); };
         _eq.schedule(penalty, std::move(post), sim::Priority::Hardware);
     }
 }
@@ -305,7 +323,7 @@ std::optional<unsigned>
 DaggerNic::pickFlow(const std::vector<proto::Frame> &frames,
                     const ConnTuple &tuple)
 {
-    const unsigned flows = activeFlows();
+    const unsigned flows = _cfg.numFlows;
     switch (tuple.loadBalancer) {
       case LbScheme::RoundRobin: {
         // Dynamic uniform steering.
@@ -331,51 +349,6 @@ DaggerNic::pickFlow(const std::vector<proto::Frame> &frames,
     }
     return static_cast<unsigned>(
         objectKeyHash(payload.data() + _objKeyOffset, _objKeyLen) % flows);
-}
-
-void
-DaggerNic::maybePost(unsigned flow)
-{
-    FlowState &fs = _flows[flow];
-    if (!fs.rx)
-        return;
-    const unsigned B = effectiveBatch();
-    for (;;) {
-        const std::size_t depth = _reqBuffer.flowDepth(flow);
-        if (depth == 0)
-            return;
-        if (_soft.autoBatch) {
-            issuePost(flow, std::min(depth, kHwMaxBatch));
-            continue;
-        }
-        if (depth >= B) {
-            issuePost(flow, B);
-            continue;
-        }
-        armPostTimeout(flow);
-        return;
-    }
-}
-
-void
-DaggerNic::armPostTimeout(unsigned flow)
-{
-    FlowState &fs = _flows[flow];
-    if (fs.postTimeoutArmed)
-        return;
-    fs.postTimeoutArmed = true;
-    _eq.schedule(_soft.batchTimeout,
-                 [this, flow] {
-                     FlowState &f = _flows[flow];
-                     f.postTimeoutArmed = false;
-                     const std::size_t depth = _reqBuffer.flowDepth(flow);
-                     if (depth > 0 && depth < effectiveBatch()) {
-                         _monitor.timeoutFlushes.inc();
-                         issuePost(flow, depth);
-                     }
-                     maybePost(flow);
-                 },
-                 sim::Priority::Hardware);
 }
 
 void

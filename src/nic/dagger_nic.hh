@@ -114,22 +114,13 @@ class DaggerNic
         _reqBuffer.registerMetrics(scope.sub("req_buffer"));
     }
 
-    /** Effective number of active flows. */
-    unsigned
-    activeFlows() const
-    {
-        return _soft.activeFlows == 0 || _soft.activeFlows > _cfg.numFlows
-            ? _cfg.numFlows
-            : _soft.activeFlows;
-    }
-
   private:
     struct FlowState
     {
         rpc::TxRing *tx = nullptr;
         rpc::RxRing *rx = nullptr;
-        bool fetchTimeoutArmed = false;
-        bool postTimeoutArmed = false;
+        /// a partial-batch flush is scheduled, indexed by Dir
+        std::array<bool, 2> flushArmed{};
         unsigned outstandingFetches = 0;
         /// egress grouping of multi-frame messages; becomes the packet
         std::vector<proto::Frame> partial;
@@ -144,10 +135,19 @@ class DaggerNic
 
     unsigned effectiveBatch() const { return std::max(1u, _soft.batchSize); }
 
+    // --- CCI-P batching, one policy for both directions (§4.4) ---
+    /** Fetch: host TX ring -> NIC.  Post: request buffer -> host RX ring. */
+    enum class Dir : std::uint8_t { Fetch, Post };
+    /** Frames @p dir could move for @p flow now. */
+    std::size_t readyFrames(Dir dir, unsigned flow) const;
+    void issue(Dir dir, unsigned flow, std::size_t frames);
+    /** Issue full batches (or, auto-batching, whatever is ready) until
+     *  none remain; a partial batch arms the timeout flush. */
+    void drain(Dir dir, unsigned flow);
+    void armFlush(Dir dir, unsigned flow);
+
     // --- RX path (host -> network) ---
-    void maybeFetch(unsigned flow);
     void issueFetch(unsigned flow, std::size_t frames);
-    void armFetchTimeout(unsigned flow);
     void onFetched(unsigned flow, BatchSlot slot);
     void serializeBatch(unsigned flow, BatchSlot slot);
     void egressFrames(std::vector<proto::Frame> frames);
@@ -159,9 +159,7 @@ class DaggerNic
      *  nullopt if an Object-Level request does not reassemble. */
     std::optional<unsigned> pickFlow(const std::vector<proto::Frame> &frames,
                                      const ConnTuple &tuple);
-    void maybePost(unsigned flow);
     void issuePost(unsigned flow, std::size_t frames);
-    void armPostTimeout(unsigned flow);
 
     // --- poll-mode management (§4.4.1) ---
     void pollModeTick();

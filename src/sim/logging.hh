@@ -4,7 +4,7 @@
  *
  * panic(): an internal invariant was violated (simulator bug) -> abort().
  * fatal(): the user configured something impossible -> exit(1).
- * warn()/inform(): status messages on stderr, never stop the run.
+ * warn(): a status message on stderr, never stops the run.
  */
 
 #ifndef DAGGER_SIM_LOGGING_HH
@@ -33,20 +33,8 @@ format(Args &&...args)
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-
-/** Global verbosity switch for inform(); warnings always print. */
-bool verboseEnabled();
-void setVerbose(bool on);
 
 } // namespace detail
-
-/** Enable or disable inform() output (default: disabled for quiet benches). */
-inline void
-setVerbose(bool on)
-{
-    detail::setVerbose(on);
-}
 
 } // namespace dagger::sim
 
@@ -63,11 +51,6 @@ setVerbose(bool on)
 /** Non-fatal warning on stderr. */
 #define dagger_warn(...) \
     ::dagger::sim::detail::warnImpl(::dagger::sim::detail::format(__VA_ARGS__))
-
-/** Informational message on stderr, gated by setVerbose(). */
-#define dagger_inform(...) \
-    ::dagger::sim::detail::informImpl( \
-        ::dagger::sim::detail::format(__VA_ARGS__))
 
 /** panic() unless the condition holds. */
 #define dagger_assert(cond, ...) \

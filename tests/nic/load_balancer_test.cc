@@ -54,11 +54,6 @@ TEST(RoundRobinLb, CyclesThroughFlows)
     const auto conn = rig.connect(LbScheme::RoundRobin);
     for (int want : {0, 1, 2, 3, 0})
         EXPECT_EQ(sendKey(rig, conn, 1), want);
-
-    // Over the active flows only.
-    rig.serverNic().softConfig().activeFlows = 2;
-    for (int want : {1, 0, 1, 0})
-        EXPECT_EQ(sendKey(rig, conn, 1), want);
 }
 
 TEST(RoundRobinLb, UniformOverManyRequests)
@@ -95,9 +90,6 @@ TEST(StaticLb, UsesConnectionTuple)
     const auto conn = rig.connect(LbScheme::Static, 3);
     EXPECT_EQ(sendKey(rig, conn, 1), 3);
     EXPECT_EQ(sendKey(rig, conn, 2), 3);
-    // Clamped into the active-flow range.
-    rig.serverNic().softConfig().activeFlows = 2;
-    EXPECT_EQ(sendKey(rig, conn, 1), 1);
 }
 
 TEST(ObjectLevelLb, SameKeyAlwaysSameFlow)
