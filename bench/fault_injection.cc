@@ -23,7 +23,6 @@
 
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "bench/harness.hh"
@@ -87,14 +86,10 @@ runScenario(const Scenario &sc)
     rpc::DaggerNode &cnode = sys.addNode(cfg, soft);
     rpc::DaggerNode &snode = sys.addNode(cfg, soft);
 
-    auto cp = std::make_unique<nic::AckProtocol>(kAckTimeout, kAckRetries,
-                                                 kMtuFrames);
-    auto sp = std::make_unique<nic::AckProtocol>(kAckTimeout, kAckRetries,
-                                                 kMtuFrames);
-    nic::AckProtocol &cack = *cp;
-    nic::AckProtocol &sack = *sp;
-    cnode.nicDev().setProtocol(std::move(cp));
-    snode.nicDev().setProtocol(std::move(sp));
+    nic::AckProtocol &cack =
+        cnode.nicDev().enableAck(kAckTimeout, kAckRetries, kMtuFrames);
+    nic::AckProtocol &sack =
+        snode.nicDev().enableAck(kAckTimeout, kAckRetries, kMtuFrames);
 
     // Independent fault streams per direction; a scripted flap blacks
     // out the request direction (covering it is the retry layer's job).

@@ -1,15 +1,8 @@
 #include "nic/ack_protocol.hh"
 
-#include "nic/dagger_nic.hh"
 #include "sim/logging.hh"
 
 namespace dagger::nic {
-
-void
-AckProtocol::attach(DaggerNic &nic)
-{
-    _nic = &nic;
-}
 
 // ------------------------------ egress ------------------------------
 
@@ -30,7 +23,6 @@ AckProtocol::trackEgress(net::Packet &pkt)
 bool
 AckProtocol::onEgress(net::Packet &pkt)
 {
-    dagger_assert(_nic, "AckProtocol not attached");
     dagger_assert(!pkt.frames.empty(), "empty packet");
     if (_mtuFrames > 0 && pkt.frames.size() > _mtuFrames) {
         // Fragment into independently sequenced wire packets so a
@@ -46,7 +38,7 @@ AckProtocol::onEgress(net::Packet &pkt)
             frag.frames.assign(pkt.frames.begin() + off,
                                pkt.frames.begin() + end);
             trackEgress(frag);
-            _nic->protocolEgress(std::move(frag));
+            _net.send(std::move(frag));
         }
         return false; // swallowed: fragments went out instead
     }
@@ -68,11 +60,10 @@ AckProtocol::armTimer(const Key &key)
         }
         ++it->second.retries;
         ++_retransmissions;
-        _nic->protocolEgress(it->second.pkt); // resend a copy
+        _net.send(it->second.pkt); // resend a copy
         armTimer(key);
     };
-    sim::EventQueue &eq = _nic->eventQueue();
-    eq.schedule(_timeout, std::move(expire));
+    _eq.schedule(_timeout, std::move(expire));
 }
 
 // ------------------------------ ingress ------------------------------
@@ -96,7 +87,7 @@ AckProtocol::sendAck(const net::Packet &data)
     f.header.checksum = f.computeChecksum();
     ack.frames.push_back(f);
     ++_acksSent;
-    _nic->protocolEgress(std::move(ack));
+    _net.send(std::move(ack));
 }
 
 void
@@ -180,7 +171,6 @@ AckProtocol::reassemble(net::Packet &pkt)
 bool
 AckProtocol::onIngress(net::Packet &pkt)
 {
-    dagger_assert(_nic, "AckProtocol not attached");
     const bool is_ack = pkt.frames.size() == 1 &&
         pkt.frames.front().header.fnId == kAckFn;
     if (is_ack) {

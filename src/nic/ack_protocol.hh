@@ -16,8 +16,9 @@
  * (per-frame checksum mismatch) are dropped *before* the ACK, so they
  * look like losses to the sender.
  *
- * Off by default, exactly like the paper's artifact; install with
- * DaggerNic::setProtocol(std::make_unique<AckProtocol>(...)).
+ * Off by default, exactly like the paper's artifact; a NIC turns it
+ * on with DaggerNic::enableAck(), which builds it over the NIC's event
+ * queue and switch port.
  */
 
 #ifndef DAGGER_NIC_ACK_PROTOCOL_HH
@@ -28,20 +29,21 @@
 #include <set>
 #include <unordered_map>
 
-#include "nic/pipeline.hh"
+#include "net/tor_switch.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/time.hh"
 
 namespace dagger::nic {
 
-class DaggerNic;
-
 /** Positive-ACK reliability with dedup and timeout retransmission. */
-class AckProtocol final : public ProtocolUnit
+class AckProtocol
 {
   public:
     /**
+     * @param eq                 schedules the retransmit timers
+     * @param net                the switch port fragments, resends and
+     *                           ACKs go out on
      * @param retransmit_timeout resend an unacked packet after this
      * @param max_retries        give up (and count a loss) after this
      *                           many resends
@@ -50,19 +52,29 @@ class AckProtocol final : public ProtocolUnit
      *                           sequenced wire packets (0 = never
      *                           fragment: one packet per RPC)
      */
-    explicit AckProtocol(sim::Tick retransmit_timeout = sim::usToTicks(10),
-                         unsigned max_retries = 4,
-                         std::size_t mtu_frames = 0)
-        : _timeout(retransmit_timeout), _maxRetries(max_retries),
-          _mtuFrames(mtu_frames)
+    AckProtocol(sim::EventQueue &eq, net::SwitchPort &net,
+                sim::Tick retransmit_timeout, unsigned max_retries,
+                std::size_t mtu_frames)
+        : _eq(eq), _net(net), _timeout(retransmit_timeout),
+          _maxRetries(max_retries), _mtuFrames(mtu_frames)
     {}
 
-    void attach(DaggerNic &nic) override;
+    /// retransmit timers capture this object's address
+    AckProtocol(const AckProtocol &) = delete;
+    AckProtocol &operator=(const AckProtocol &) = delete;
 
-    bool onEgress(net::Packet &pkt) override;
-    bool onIngress(net::Packet &pkt) override;
+    /**
+     * Egress, after serialization, before the wire.
+     * @retval false swallowed: the fragments went out instead
+     */
+    bool onEgress(net::Packet &pkt);
 
-    const char *name() const override { return "ack"; }
+    /**
+     * Ingress, straight off the wire.
+     * @retval false consumed (an ACK, a duplicate, a corrupted frame
+     *         or an incomplete fragment set)
+     */
+    bool onIngress(net::Packet &pkt);
 
     /** Exposed for tests: the pending-map hash over (conn, seq).  Must
      *  mix every connection-id bit (a shift past bit 32 of a 64-bit
@@ -160,7 +172,8 @@ class AckProtocol final : public ProtocolUnit
     /** fnId marker distinguishing ACK frames from data. */
     static constexpr std::uint16_t kAckFn = 0xffff;
 
-    DaggerNic *_nic = nullptr;
+    sim::EventQueue &_eq;
+    net::SwitchPort &_net;
     sim::Tick _timeout;
     unsigned _maxRetries;
     std::size_t _mtuFrames;

@@ -27,7 +27,7 @@ DaggerNic::DaggerNic(sim::EventQueue &eq, NicConfig cfg, SoftConfig soft,
       _cm(_cfg), _hcc(cfg.connMissPenalty),
       _reqBuffer(kHwMaxBatch * cfg.numFlows, cfg.numFlows,
                  kIngressStallFrames),
-      _flows(cfg.numFlows), _protocol(std::make_unique<ProtocolUnit>())
+      _flows(cfg.numFlows)
 {
     dagger_assert(cfg.numFlows >= 1, "NIC needs at least one flow");
     _net.setReceiver([this](net::Packet pkt) { onNetReceive(std::move(pkt)); });
@@ -64,18 +64,14 @@ DaggerNic::setObjectLevelKey(std::size_t key_offset, std::size_t key_len)
     _objKeyLen = key_len;
 }
 
-void
-DaggerNic::setProtocol(std::unique_ptr<ProtocolUnit> protocol)
+AckProtocol &
+DaggerNic::enableAck(sim::Tick retransmit_timeout, unsigned max_retries,
+                     std::size_t mtu_frames)
 {
-    dagger_assert(protocol, "null protocol unit");
-    _protocol = std::move(protocol);
-    _protocol->attach(*this);
-}
-
-void
-DaggerNic::protocolEgress(net::Packet pkt)
-{
-    _net.send(std::move(pkt));
+    dagger_assert(!_ack, "reliable transport already enabled");
+    _ack = std::make_unique<AckProtocol>(_eq, _net, retransmit_timeout,
+                                         max_retries, mtu_frames);
+    return *_ack;
 }
 
 // --------------- CCI-P batching (fetches and posts alike) ---------------
@@ -241,7 +237,7 @@ DaggerNic::egressFrames(std::vector<proto::Frame> frames)
         pkt.frames = _batches.take(slot);
         _monitor.rpcsOut.inc();
         _monitor.bytesOut.inc(pkt.wireBytes());
-        if (_protocol->onEgress(pkt))
+        if (!_ack || _ack->onEgress(pkt))
             _net.send(std::move(pkt));
     };
     static_assert(sim::EventClosure::relocatesByMemcpy<decltype(send)>());
@@ -261,7 +257,7 @@ DaggerNic::egressFrames(std::vector<proto::Frame> frames)
 void
 DaggerNic::onNetReceive(net::Packet pkt)
 {
-    if (!_protocol->onIngress(pkt))
+    if (_ack && !_ack->onIngress(pkt))
         return;
     auto steer = [this, slot = _batches.park(std::move(pkt.frames))] {
         steerMessage(_batches.take(slot));
@@ -291,7 +287,7 @@ DaggerNic::steerMessage(std::vector<proto::Frame> frames)
     penalty += _hcc.access(h0.connId);
     unsigned flow;
     if (h0.type == proto::MsgType::Response) {
-        flow = tuple->srcFlow % _cfg.numFlows;
+        flow = tuple->srcFlow;
     } else if (const auto picked = pickFlow(frames, *tuple)) {
         flow = *picked;
     } else {
@@ -327,12 +323,12 @@ DaggerNic::pickFlow(const std::vector<proto::Frame> &frames,
     switch (tuple.loadBalancer) {
       case LbScheme::RoundRobin: {
         // Dynamic uniform steering.
-        const unsigned f = _rrNext % flows;
+        const unsigned f = _rrNext;
         _rrNext = (_rrNext + 1) % flows;
         return f;
       }
       case LbScheme::Static:
-        return tuple.srcFlow % flows;
+        return tuple.srcFlow;
       case LbScheme::ObjectLevel:
         break;
     }

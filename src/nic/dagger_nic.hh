@@ -5,8 +5,10 @@
  * Receiving path (RX, host -> network): the RX FSM watches the
  * per-flow TX rings, pulls request frames over the CCI-P port in
  * batches of B, runs them through the RPC-unit pipeline (serializer,
- * connection lookup, Protocol unit), and ships packets to the ToR
- * switch.  Bookkeeping messages release ring entries asynchronously.
+ * connection lookup), and ships packets to the ToR switch.  The paper's
+ * Protocol unit is idle (§4.5), so packets go straight to the wire
+ * unless enableAck() turned on the optional AckProtocol.  Bookkeeping
+ * messages release ring entries asynchronously.
  *
  * Transmitting path (TX, network -> host): incoming packets run
  * through the deserializer, are steered by the load balancer
@@ -26,6 +28,7 @@
 #include "ic/cci_fabric.hh"
 #include "mem/hcc.hh"
 #include "net/tor_switch.hh"
+#include "nic/ack_protocol.hh"
 #include "nic/config.hh"
 #include "nic/connection_manager.hh"
 #include "nic/pipeline.hh"
@@ -77,15 +80,20 @@ class DaggerNic
      */
     void setObjectLevelKey(std::size_t key_offset, std::size_t key_len);
 
-    /** Install a protocol-unit extension (default: idle pass-through). */
-    void setProtocol(std::unique_ptr<ProtocolUnit> protocol);
-
-    /** Re-inject a packet from a protocol unit (retransmission). */
-    void protocolEgress(net::Packet pkt);
+    /**
+     * Turn on the reliable transport (off by default, like the paper's
+     * idle Protocol unit); call at most once.  Parameters as in
+     * AckProtocol's constructor.
+     */
+    AckProtocol &enableAck(sim::Tick retransmit_timeout = sim::usToTicks(10),
+                           unsigned max_retries = 4,
+                           std::size_t mtu_frames = 0);
 
     const NicConfig &config() const { return _cfg; }
     net::NodeId node() const { return _net.node(); }
-    ConnectionManager &connectionManager() { return _cm; }
+    /** Read-only: tuples open through openConnection(), which checks
+     *  src_flow against the flow count the steering relies on. */
+    const ConnectionManager &connectionManager() const { return _cm; }
 
     /**
      * The Host Coherent Cache (§4.1): holds per-connection transport
@@ -98,7 +106,6 @@ class DaggerNic
     PacketMonitor &monitor() { return _monitor; }
     const PacketMonitor &monitor() const { return _monitor; }
     ic::CciPort &cciPort() { return _port; }
-    sim::EventQueue &eventQueue() { return _eq; }
 
     /**
      * Register all NIC statistics under @p scope: the Packet Monitor
@@ -177,7 +184,9 @@ class DaggerNic
     /// pipeline stage, parked so every NIC closure is a few words
     sim::SlotTable<std::vector<proto::Frame>> _batches;
     PacketMonitor _monitor;
-    std::unique_ptr<ProtocolUnit> _protocol;
+    /// the optional reliable transport; null while the Protocol unit
+    /// idles and forwards every packet
+    std::unique_ptr<AckProtocol> _ack;
     /// round-robin cursor, shared by every round-robin connection
     unsigned _rrNext = 0;
     /// where Object-Level connections find the key in a payload

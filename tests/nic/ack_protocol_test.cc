@@ -1,11 +1,13 @@
 /**
  * @file
  * AckProtocol tests: acknowledgement flow, retransmission after
- * drops, retry exhaustion, transparency to the RPC layer.
+ * drops, retry exhaustion, transparency to the RPC layer and to the
+ * Packet Monitor.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "net/fault_injector.hh"
@@ -22,8 +24,12 @@ using sim::usToTicks;
 
 struct AckRig
 {
-    /** @param mtu_frames protocol fragmentation MTU (0 = no fragmenting) */
-    explicit AckRig(std::size_t mtu_frames = 0)
+    /**
+     * @param mtu_frames protocol fragmentation MTU (0 = no fragmenting)
+     * @param reliable   enable the AckProtocol on both NICs; without it
+     *                   clientAck and serverAck stay null
+     */
+    explicit AckRig(std::size_t mtu_frames = 0, bool reliable = true)
         : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
     {
         nic::NicConfig cfg;
@@ -34,14 +40,12 @@ struct AckRig
         clientNode = &sys.addNode(cfg, soft);
         serverNode = &sys.addNode(cfg, soft);
 
-        auto cp = std::make_unique<nic::AckProtocol>(usToTicks(20), 4,
-                                                     mtu_frames);
-        clientAck = cp.get();
-        clientNode->nicDev().setProtocol(std::move(cp));
-        auto sp = std::make_unique<nic::AckProtocol>(usToTicks(20), 4,
-                                                     mtu_frames);
-        serverAck = sp.get();
-        serverNode->nicDev().setProtocol(std::move(sp));
+        if (reliable) {
+            clientAck = &clientNode->nicDev().enableAck(usToTicks(20), 4,
+                                                        mtu_frames);
+            serverAck = &serverNode->nicDev().enableAck(usToTicks(20), 4,
+                                                        mtu_frames);
+        }
 
         client = std::make_unique<RpcClient>(*clientNode, 0,
                                              cpus.core(0).thread(0));
@@ -61,8 +65,8 @@ struct AckRig
     CpuSet cpus;
     DaggerNode *clientNode;
     DaggerNode *serverNode;
-    nic::AckProtocol *clientAck;
-    nic::AckProtocol *serverAck;
+    nic::AckProtocol *clientAck = nullptr;
+    nic::AckProtocol *serverAck = nullptr;
     std::unique_ptr<RpcClient> client;
     std::unique_ptr<RpcThreadedServer> server;
 };
@@ -317,6 +321,55 @@ TEST(AckProtocol, CorruptedFrameLooksLikeLossAndRecovers)
     EXPECT_EQ(rig.serverAck->corruptDropped(), 1u);
     EXPECT_EQ(rig.clientAck->retransmissions(), 1u);
     EXPECT_EQ(rig.server->totalProcessed(), 1u);
+}
+
+// The Packet Monitor counts RPC messages, not wire packets: ACKs,
+// fragments and retransmissions live below it.  A lossy run with
+// fragmenting reliability on both NICs must read exactly what the same
+// calls read with no loss and no reliability.
+TEST(NicMonitor, ReliabilityTrafficIsNotCountedAsRpcs)
+{
+    struct Big
+    {
+        std::array<std::uint8_t, 4 * proto::kFramePayload> bytes; // 4 frames
+    };
+    // {rpcsOut, bytesOut, rpcsIn, bytesIn}
+    auto counts = [](const nic::DaggerNic &dev) {
+        const nic::PacketMonitor &m = dev.monitor();
+        return std::array<std::uint64_t, 4>{
+            m.rpcsOut.value(), m.bytesOut.value(), m.rpcsIn.value(),
+            m.bytesIn.value()};
+    };
+    auto echo = [](AckRig &rig) {
+        std::uint64_t done = 0;
+        for (int i = 0; i < 6; ++i) {
+            Big big;
+            big.bytes.fill(static_cast<std::uint8_t>(i + 1));
+            rig.client->callPod(1, big,
+                                [&](const proto::RpcMessage &) { ++done; });
+        }
+        rig.sys.eq().runFor(usToTicks(500));
+        EXPECT_EQ(done, 6u);
+    };
+
+    AckRig plain(/*mtu_frames=*/0, /*reliable=*/false);
+    echo(plain);
+
+    AckRig lossy(/*mtu_frames=*/2); // each 4-frame message is 2 packets
+    net::FaultInjector fi(lossy.sys.eq());
+    fi.install(lossy.sys.tor().attach(lossy.serverNode->id()));
+    fi.scriptDrop(2); // the second fragment of the first request
+    echo(lossy);
+
+    EXPECT_EQ(fi.droppedCount(), 1u);
+    EXPECT_GE(lossy.clientAck->retransmissions(), 1u);
+    EXPECT_GT(lossy.clientAck->acksSent(), 0u);
+    EXPECT_GT(lossy.serverAck->acksSent(), 0u);
+    EXPECT_EQ(counts(plain.clientNode->nicDev())[0], 6u);
+    EXPECT_EQ(counts(lossy.clientNode->nicDev()),
+              counts(plain.clientNode->nicDev()));
+    EXPECT_EQ(counts(lossy.serverNode->nicDev()),
+              counts(plain.serverNode->nicDev()));
 }
 
 // Regression (hash quality): the pre-fix mix shifted the 32-bit conn

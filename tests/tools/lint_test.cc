@@ -250,25 +250,6 @@ TEST_F(LintTest, SuppressionEdgeCasesBlockCommentsAndCrlf)
     EXPECT_NE(r.out.find("\"line\": 30"), std::string::npos) << r.out;
 }
 
-TEST_F(LintTest, JobsOutputIsByteIdenticalAndOrdered)
-{
-    // --jobs N parallelizes the scan but merges per-file results in
-    // input order: byte-identical output at any thread count.
-    const RunResult serial = run(lint("--json " + _root.string()));
-    const RunResult par = run(lint("--json --jobs 4 " + _root.string()));
-    EXPECT_EQ(serial.exit_code, par.exit_code);
-    EXPECT_EQ(serial.out, par.out);
-    const RunResult text = run(lint(_root.string()));
-    const RunResult textPar = run(lint("--jobs 8 " + _root.string()));
-    EXPECT_EQ(text.out, textPar.out);
-}
-
-TEST_F(LintTest, BadJobsValueIsUsageError)
-{
-    const RunResult r = run(lint("--jobs nope " + _root.string()));
-    EXPECT_EQ(r.exit_code, 2);
-}
-
 TEST_F(LintTest, UnknownRuleIsUsageError)
 {
     const RunResult r = run(lint("--rule no-such-rule " + _root.string()));
