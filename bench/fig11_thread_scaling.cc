@@ -28,7 +28,7 @@ double
 rawUpiMrps(unsigned threads)
 {
     sim::EventQueue eq;
-    ic::CciFabric fabric(eq, ic::IfaceKind::Upi, 1);
+    ic::CciFabric fabric(eq, ic::profileFor(ic::IfaceKind::Upi), 1);
     ic::CciPort &port = fabric.port(0);
     // Raw-read threads get their own physical cores (the 12-core
     // Xeon has room; the paper scales linearly to 7 threads).

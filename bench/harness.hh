@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -69,7 +70,6 @@ class EchoRig
     {
         nic::NicConfig cfg;
         cfg.numFlows = opt.threads;
-        cfg.iface = opt.iface;
         cfg.txRingEntries = opt.txRingEntries;
         cfg.rxRingEntries = opt.rxRingEntries;
         nic::SoftConfig soft;
@@ -359,6 +359,16 @@ class SweepRunner
     unsigned _jobs;
 };
 
+/** @p s as a quoted, escaped JSON string. */
+inline std::string
+jsonString(std::string_view s)
+{
+    std::string out = "\"";
+    out += sim::jsonEscape(s);
+    out += '"';
+    return out;
+}
+
 /**
  * One measured operating point for the JSON export: an ordered list of
  * (key, value) fields, where a value is a number or a tag string.
@@ -390,9 +400,9 @@ class BenchPoint
             const Field &f = _fields[i];
             if (i > 0)
                 out += ", ";
-            out += "\"" + sim::jsonEscape(f.key) + "\": ";
-            out += f.is_num ? sim::jsonNumber(f.num)
-                            : "\"" + sim::jsonEscape(f.str) + "\"";
+            out += jsonString(f.key);
+            out += ": ";
+            out += f.is_num ? sim::jsonNumber(f.num) : jsonString(f.str);
         }
         out += "}";
         return out;
@@ -419,9 +429,7 @@ class BenchContext
 {
   public:
     BenchContext(std::string name, int argc, char **argv)
-        // Host wall time only feeds the report's wall_clock_sec field,
-        // never a simulated quantity.
-        : _name(std::move(name)), _start(std::chrono::steady_clock::now()) // dagger-lint: allow(no-wallclock)
+        : _name(std::move(name))
     {
         for (int i = 1; i < argc; ++i) {
             const std::string a = argv[i];
@@ -464,8 +472,7 @@ class BenchContext
     void
     config(std::string key, std::string value)
     {
-        _config.emplace_back(std::move(key),
-                             "\"" + sim::jsonEscape(value) + "\"");
+        _config.emplace_back(std::move(key), jsonString(value));
     }
 
     void
@@ -536,10 +543,7 @@ class BenchContext
     int
     finish()
     {
-        const double wall = std::chrono::duration<double>(
-                                // dagger-lint: allow(no-wallclock)
-                                std::chrono::steady_clock::now() - _start)
-                                .count();
+        const double wall = _wall.seconds();
         bool checksOk = true;
         for (const auto &c : _checks)
             checksOk = checksOk && c.second;
@@ -586,15 +590,18 @@ class BenchContext
     renderJson(double wall, bool checks_ok, bool anchors_ok) const
     {
         std::string out = "{\n";
-        out += "\"bench\": \"" + sim::jsonEscape(_name) + "\",\n";
+        out += "\"bench\": ";
+        out += jsonString(_name);
+        out += ",\n";
         out += "\"seed\": " + std::to_string(_seed) + ",\n";
         out += "\"jobs\": " + std::to_string(jobs()) + ",\n";
         out += "\"wall_clock_sec\": " + sim::jsonNumber(wall) + ",\n";
         out += "\"config\": {";
         for (std::size_t i = 0; i < _config.size(); ++i) {
             out += i == 0 ? "\n  " : ",\n  ";
-            out += "\"" + sim::jsonEscape(_config[i].first)
-                + "\": " + _config[i].second;
+            out += jsonString(_config[i].first);
+            out += ": ";
+            out += _config[i].second;
         }
         out += _config.empty() ? "},\n" : "\n},\n";
         out += "\"points\": " + pointsJson() + ",\n";
@@ -602,8 +609,9 @@ class BenchContext
         for (std::size_t i = 0; i < _anchors.size(); ++i) {
             const Anchor &a = _anchors[i];
             out += i == 0 ? "\n  " : ",\n  ";
-            out += "{\"name\": \"" + sim::jsonEscape(a.name)
-                + "\", \"paper\": " + sim::jsonNumber(a.paper)
+            out += "{\"name\": ";
+            out += jsonString(a.name)
+                + ", \"paper\": " + sim::jsonNumber(a.paper)
                 + ", \"measured\": " + sim::jsonNumber(a.measured)
                 + ", \"rel_tol\": " + sim::jsonNumber(a.rel_tol)
                 + ", \"ok\": " + (a.ok ? "true" : "false") + "}";
@@ -612,8 +620,9 @@ class BenchContext
         out += "\"checks\": [";
         for (std::size_t i = 0; i < _checks.size(); ++i) {
             out += i == 0 ? "\n  " : ",\n  ";
-            out += "{\"what\": \"" + sim::jsonEscape(_checks[i].first)
-                + "\", \"pass\": " + (_checks[i].second ? "true" : "false")
+            out += "{\"what\": ";
+            out += jsonString(_checks[i].first)
+                + ", \"pass\": " + (_checks[i].second ? "true" : "false")
                 + "}";
         }
         out += _checks.empty() ? "],\n" : "\n],\n";
@@ -623,7 +632,9 @@ class BenchContext
     }
 
     std::string _name;
-    std::chrono::steady_clock::time_point _start; // dagger-lint: allow(no-wallclock)
+    /// host time since construction; only feeds the report's
+    /// wall_clock_sec field, never a simulated quantity
+    WallTimer _wall;
     unsigned _jobs = 0; ///< 0 = SweepRunner default
     bool _strict = false;
     std::string _jsonPath;

@@ -5,29 +5,17 @@
 
 namespace dagger::ic {
 
-CciFabric::CciFabric(EventQueue &eq, IfaceKind kind, unsigned ports,
-                     UpiCost upi, PcieCost pcie)
-    : _eq(eq), _kind(kind), _upi(upi), _pcie(pcie),
-      _toNic(eq,
-             isMemoryInterconnect(kind) ? upi.lineService
-                                        : pcie.lineService,
-             isMemoryInterconnect(kind) ? upi.txnOverhead
-                                        : pcie.txnOverhead,
-             ports,
+CciFabric::CciFabric(EventQueue &eq, const IfaceProfile &profile,
+                     unsigned ports)
+    : _eq(eq), _profile(profile),
+      _toNic(eq, profile.lineService, profile.txnOverhead, ports,
              [this](unsigned port, std::uint32_t slot) {
                  _ports[port]->serviced(slot);
              }),
-      _toHost(eq,
-              isMemoryInterconnect(kind) ? upi.lineService
-                                         : pcie.lineService,
-              isMemoryInterconnect(kind) ? upi.txnOverhead
-                                         : pcie.txnOverhead,
-              ports,
+      _toHost(eq, profile.lineService, profile.txnOverhead, ports,
               [this](unsigned port, std::uint32_t slot) {
                   _ports[port]->serviced(slot);
-              }),
-      _maxOutstanding(isMemoryInterconnect(kind) ? upi.maxOutstanding
-                                                 : pcie.maxOutstanding)
+              })
 {
     _ports.reserve(ports);
     for (unsigned i = 0; i < ports; ++i)
@@ -95,29 +83,19 @@ CciFabric::port(unsigned i)
 }
 
 Tick
-CciFabric::hostTxCpuCost(unsigned batch) const
-{
-    return ic::hostTxCpuCost(_kind, batch, _upi, _pcie);
-}
-
-Tick
 CciPort::hostPollPenalty() const
 {
-    // Only the UPI invalidation path polls; CXL writes push directly.
-    if (_fabric.kind() != IfaceKind::Upi)
-        return 0;
     return _pollMode == PollMode::LocalCache
-        ? _fabric.upi().ownershipBounceCost
+        ? _fabric._profile.ownershipBounceCost
         : 0;
 }
 
 void
 CciPort::fetch(unsigned lines, EventFn done)
 {
-    Tick extra = hostTxBaseLatency(_fabric.kind(), _fabric.upi(),
-                                   _fabric.pcie());
-    if (_fabric.kind() == IfaceKind::Upi && _pollMode == PollMode::Llc)
-        extra += _fabric.upi().llcPollExtra;
+    const IfaceProfile &p = _fabric._profile;
+    const Tick extra =
+        p.fetchLatency + (_pollMode == PollMode::Llc ? p.llcPollExtra : 0);
     ++_fetchTxns;
     _linesFetched += lines;
     submit(std::move(done), extra, lines, true);
@@ -126,12 +104,9 @@ CciPort::fetch(unsigned lines, EventFn done)
 void
 CciPort::post(unsigned lines, EventFn done)
 {
-    const Tick extra = isMemoryInterconnect(_fabric.kind())
-        ? _fabric.upi().postLatency
-        : _fabric.pcie().postLatency;
     ++_postTxns;
     _linesPosted += lines;
-    submit(std::move(done), extra, lines, false);
+    submit(std::move(done), _fabric._profile.postLatency, lines, false);
 }
 
 void
@@ -140,22 +115,18 @@ CciPort::bookkeep(EventFn done)
     // Bookkeeping rides back piggybacked on read responses / posted
     // metadata: it costs delivery latency but no dedicated channel
     // occupancy (the paper pipelines it with in-flight requests,
-    // §4.4).  CXL device buffers are NIC-owned: release is immediate.
-    const Tick extra = _fabric.kind() == IfaceKind::Cxl ? 0
-        : _fabric.kind() == IfaceKind::Upi
-        ? _fabric.upi().bookkeepLatency
-        : _fabric.pcie().postLatency;
-    // Pass the completion straight through instead of wrapping it: an
-    // EventClosure scheduled from an EventClosure rvalue is a plain
-    // move, so the caller's inline storage survives end to end.
-    _fabric._eq.schedule(extra, std::move(done), sim::Priority::Hardware);
+    // §4.4).  Pass the completion straight through instead of wrapping
+    // it: an EventClosure scheduled from an EventClosure rvalue is a
+    // plain move, so the caller's inline storage survives end to end.
+    _fabric._eq.schedule(_fabric._profile.bookkeepLatency, std::move(done),
+                         sim::Priority::Hardware);
 }
 
 void
 CciPort::rawRead(EventFn done)
 {
     // Idle reads are hardware-pipelined: no FSM transaction overhead.
-    submit(std::move(done), _fabric.upi().fetchLatency, 1, true, true);
+    submit(std::move(done), _fabric._profile.fetchLatency, 1, true, true);
 }
 
 void
@@ -168,7 +139,7 @@ CciPort::submit(EventFn done, Tick extra, unsigned lines, bool to_nic,
     // so each of them is a few trivially copied words.
     const Op op{_pending.park(Pending{std::move(done), extra}), lines,
                 to_nic, streamed};
-    if (_inFlight >= _fabric._maxOutstanding) {
+    if (_inFlight >= _fabric._profile.maxOutstanding) {
         ++_stalls;
         _pendingWindow.push_back(op);
         return;
@@ -183,10 +154,10 @@ CciPort::issue(Op op)
     // §4.4: a port may keep at most maxOutstanding (default 128) CCI-P
     // transactions in flight; anything above means the pending-window
     // bookkeeping in submit()/completed() has desynchronized.
-    DAGGER_INVARIANT(_inFlight <= _fabric._maxOutstanding,
+    DAGGER_INVARIANT(_inFlight <= _fabric._profile.maxOutstanding,
                      "port ", _id, " exceeded the outstanding-transaction "
                      "window: ", _inFlight, " > ",
-                     _fabric._maxOutstanding);
+                     _fabric._profile.maxOutstanding);
     Channel &ch = op.to_nic ? _fabric._toNic : _fabric._toHost;
     ch.request(_id, op.lines, op.slot, op.streamed);
 }

@@ -64,6 +64,7 @@ class CciPort
     /**
      * Issue an idle read of one cache line over the interconnect —
      * used by the raw-UPI scalability experiment (Fig. 11 right).
+     * Costs the fetch latency without poll-mode or transaction terms.
      */
     void rawRead(EventFn done);
 
@@ -134,25 +135,20 @@ class CciFabric
 {
   public:
     /**
-     * @param eq    simulation event queue
-     * @param kind  CPU-NIC interface flavour for the NIC RX path
-     * @param ports number of NIC instances sharing the fabric
+     * @param eq      simulation event queue
+     * @param profile CPU-NIC interface constants (profileFor())
+     * @param ports   number of NIC instances sharing the fabric
      */
-    CciFabric(EventQueue &eq, IfaceKind kind, unsigned ports = 1,
-              UpiCost upi = {}, PcieCost pcie = {});
+    CciFabric(EventQueue &eq, const IfaceProfile &profile,
+              unsigned ports = 1);
 
     CciPort &port(unsigned i);
 
     /** Attach another NIC instance to the shared fabric (Fig. 14). */
     CciPort &addPort();
 
-    IfaceKind kind() const { return _kind; }
-    const UpiCost &upi() const { return _upi; }
-    const PcieCost &pcie() const { return _pcie; }
+    const IfaceProfile &profile() const { return _profile; }
     EventQueue &eventQueue() { return _eq; }
-
-    /** CPU cost per request for the configured interface (see cost model). */
-    Tick hostTxCpuCost(unsigned batch) const;
 
     /** Channels, exposed for utilization stats and tests. */
     const Channel &toNicChannel() const { return _toNic; }
@@ -171,12 +167,9 @@ class CciFabric
     void registerPortMetrics(CciPort &port);
 
     EventQueue &_eq;
-    IfaceKind _kind;
-    UpiCost _upi;
-    PcieCost _pcie;
+    const IfaceProfile _profile;
     Channel _toNic;
     Channel _toHost;
-    unsigned _maxOutstanding;
     std::vector<std::unique_ptr<CciPort>> _ports;
     std::optional<sim::MetricScope> _metricScope;
 };

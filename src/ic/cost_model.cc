@@ -22,48 +22,63 @@ ifaceName(IfaceKind kind)
     return "?";
 }
 
-Tick
-hostTxCpuCost(IfaceKind kind, unsigned batch, const UpiCost &upi,
-              const PcieCost &pcie)
+IfaceProfile
+profileFor(IfaceKind kind)
 {
-    dagger_assert(batch >= 1, "batch factor must be >= 1");
+    const UpiCost upi;
+    const PcieCost pcie;
+    // The PCIe kinds share the link, its DMA-write posts and the posted
+    // free-slot release; they differ in delivery and send CPU.
+    const auto over_pcie = [&pcie](Tick fetch, Tick per_request,
+                                   Tick per_batch) {
+        return IfaceProfile{.lineService = pcie.lineService,
+                            .txnOverhead = pcie.txnOverhead,
+                            .maxOutstanding = pcie.maxOutstanding,
+                            .fetchLatency = fetch,
+                            .postLatency = pcie.postLatency,
+                            .bookkeepLatency = pcie.postLatency,
+                            .cpuPerRequest = per_request,
+                            .cpuPerBatch = per_batch};
+    };
+    // Doorbell schemes deliver in two steps: the doorbell reaches the
+    // NIC, then the NIC DMA-reads the ring.
+    const Tick doorbell_fetch = pcie.doorbellLatency + pcie.dmaReadLatency;
     switch (kind) {
       case IfaceKind::MmioWrite:
         // Full payload pushed by the CPU; batching does not help MMIO.
-        return pcie.cpuMmioPayloadCost;
+        return over_pcie(pcie.mmioDeliverLatency, pcie.cpuMmioPayloadCost,
+                         0);
       case IfaceKind::Doorbell:
         // Ring write plus one doorbell MMIO per request.
-        return pcie.cpuRingWriteCost + pcie.cpuMmioCost;
+        return over_pcie(doorbell_fetch,
+                         pcie.cpuRingWriteCost + pcie.cpuMmioCost, 0);
       case IfaceKind::DoorbellBatch:
-        // One doorbell MMIO amortized over the batch, plus one DMA
-        // descriptor per request.
-        return pcie.cpuRingWriteCost + pcie.cpuDescCost +
-               pcie.cpuMmioCost / batch;
+        // One DMA descriptor per request; one doorbell MMIO per batch.
+        return over_pcie(doorbell_fetch,
+                         pcie.cpuRingWriteCost + pcie.cpuDescCost,
+                         pcie.cpuMmioCost);
       case IfaceKind::Upi:
-        // Pure memory write; bookkeeping consumed once per batch.
-        return upi.cpuWriteCost + upi.cpuBookkeepCost / batch;
+        // Pure memory write; bookkeeping consumed once per batch.  Only
+        // the invalidation path polls, so only UPI pays poll-mode terms.
+        return {.lineService = upi.lineService,
+                .txnOverhead = upi.txnOverhead,
+                .maxOutstanding = upi.maxOutstanding,
+                .fetchLatency = upi.fetchLatency,
+                .postLatency = upi.postLatency,
+                .bookkeepLatency = upi.bookkeepLatency,
+                .cpuPerRequest = upi.cpuWriteCost,
+                .cpuPerBatch = upi.cpuBookkeepCost,
+                .llcPollExtra = upi.llcPollExtra,
+                .ownershipBounceCost = upi.ownershipBounceCost};
       case IfaceKind::Cxl:
-        // Direct device write: no host-side buffer bookkeeping at all
-        // (the NIC owns the buffer), just the uncached store.
-        return upi.cxlCpuWriteCost;
-    }
-    dagger_panic("unreachable iface kind");
-}
-
-Tick
-hostTxBaseLatency(IfaceKind kind, const UpiCost &upi, const PcieCost &pcie)
-{
-    switch (kind) {
-      case IfaceKind::MmioWrite:
-        return pcie.mmioDeliverLatency;
-      case IfaceKind::Doorbell:
-      case IfaceKind::DoorbellBatch:
-        // Doorbell must reach the NIC, then the NIC DMA-reads the ring.
-        return pcie.doorbellLatency + pcie.dmaReadLatency;
-      case IfaceKind::Upi:
-        return upi.fetchLatency;
-      case IfaceKind::Cxl:
-        return upi.cxlDeliverLatency;
+        // Direct device write into a NIC-owned buffer: no polling, no
+        // bookkeeping (release is immediate), just the uncached store.
+        return {.lineService = upi.lineService,
+                .txnOverhead = upi.txnOverhead,
+                .maxOutstanding = upi.maxOutstanding,
+                .fetchLatency = upi.cxlDeliverLatency,
+                .postLatency = upi.postLatency,
+                .cpuPerRequest = upi.cxlCpuWriteCost};
     }
     dagger_panic("unreachable iface kind");
 }

@@ -11,6 +11,7 @@
 #ifndef DAGGER_IC_COST_MODEL_HH
 #define DAGGER_IC_COST_MODEL_HH
 
+#include "sim/logging.hh"
 #include "sim/time.hh"
 
 namespace dagger::ic {
@@ -36,13 +37,6 @@ enum class IfaceKind {
 
 /** Printable name for bench output. */
 const char *ifaceName(IfaceKind kind);
-
-/** True for the memory-interconnect family (UPI, CXL). */
-constexpr bool
-isMemoryInterconnect(IfaceKind kind)
-{
-    return kind == IfaceKind::Upi || kind == IfaceKind::Cxl;
-}
 
 /**
  * UPI / CCI-P coherent-path constants.
@@ -188,19 +182,43 @@ struct PcieCost
 };
 
 /**
- * Host-side CPU cost charged per request for pushing RPCs toward the
- * NIC under interface @p kind with batching factor @p batch.
+ * One interface kind resolved to the constants the model charges: the
+ * fabric's channel and latency terms and the sender's CPU cost.  The
+ * five kinds differ only in these values, so every consumer reads the
+ * profile and none branches on the kind.
  */
-Tick hostTxCpuCost(IfaceKind kind, unsigned batch, const UpiCost &upi,
-                   const PcieCost &pcie);
+struct IfaceProfile
+{
+    Tick lineService = 0;        ///< channel service per cache line
+    Tick txnOverhead = 0;        ///< per channel transaction (amortized by B)
+    unsigned maxOutstanding = 0; ///< per-port transaction window
+
+    /// host TX buffer -> RPC unit, after channel service and excluding
+    /// queueing and batch wait
+    Tick fetchLatency = 0;
+    Tick postLatency = 0;     ///< NIC -> host RX ring, after service
+    Tick bookkeepLatency = 0; ///< free-slot release (no channel occupancy)
+
+    Tick cpuPerRequest = 0; ///< send CPU every request pays
+    Tick cpuPerBatch = 0;   ///< send CPU paid once per batch
+
+    Tick llcPollExtra = 0;        ///< fetch latency added by LLC polling
+    Tick ownershipBounceCost = 0; ///< per-request CPU, local-cache polling
+
+    /** Send CPU per request at batching factor @p batch (>= 1). */
+    Tick
+    sendCpu(unsigned batch) const
+    {
+        dagger_assert(batch >= 1, "batch factor must be >= 1");
+        return cpuPerRequest + cpuPerBatch / batch;
+    }
+};
 
 /**
- * Interface-dependent one-way delivery latency of a request from the
- * moment software finished writing it until the NIC RPC unit can see
- * it, excluding dynamic queueing/batch-wait (modeled in the DES).
+ * The profile of interface @p kind, built from the default UpiCost and
+ * PcieCost.  The one place that maps a kind to its constants.
  */
-Tick hostTxBaseLatency(IfaceKind kind, const UpiCost &upi,
-                       const PcieCost &pcie);
+IfaceProfile profileFor(IfaceKind kind);
 
 } // namespace dagger::ic
 

@@ -4,8 +4,9 @@
  *
  * Hard configuration corresponds to SystemVerilog parameters baked
  * into a synthesized bitstream: number of flows, cache sizes, ring
- * sizes, the CPU-NIC interface flavour.  Changing it means building a
- * new NIC object (the analogue of reprogramming the FPGA).
+ * sizes.  Changing it means building a new NIC object (the analogue of
+ * reprogramming the FPGA).  The CPU-NIC interface flavour is fixed per
+ * system, by the fabric all its NICs share.
  *
  * Soft configuration corresponds to the soft register file written
  * over MMIO at runtime ("Dagger uses soft configuration to control
@@ -49,18 +50,13 @@ struct NicConfig
     /** Per-flow RX ring capacity in 64 B entries. */
     std::size_t rxRingEntries = 256;
 
-    /** CPU-NIC interface flavour (Fig. 10 sweep). */
-    ic::IfaceKind iface = ic::IfaceKind::Upi;
-
-    /** NIC clock period: 200 MHz per Table 1. */
-    sim::Tick clockPeriod = sim::nsToTicks(5);
-
     /**
-     * RPC-unit pipeline depth in cycles (serializer/deserializer,
-     * connection lookup, load balancer; Table 1 lists the unit at
-     * 200 MHz).  One message spends depth * clockPeriod per direction.
+     * Unread: the interface is the system's (DaggerSystem's constructor
+     * builds the fabric's profile from it).  Kept only because
+     * perfbench/src/echo.cc still sets it; delete it with the next
+     * change to perfbench.
      */
-    unsigned pipelineDepth = 6;
+    ic::IfaceKind iface = ic::IfaceKind::Upi;
 
     /**
      * Enable DRAM backing of the connection cache (paper future work,

@@ -182,7 +182,7 @@ DaggerNic::onFetched(unsigned flow, BatchSlot slot)
     // Serializer pipeline, then per-message egress.
     auto serialize = [this, flow, slot] { serializeBatch(flow, slot); };
     static_assert(sim::EventClosure::relocatesByMemcpy<decltype(serialize)>());
-    _eq.schedule(pipelineDelay(), std::move(serialize),
+    _eq.schedule(kPipelineDelay, std::move(serialize),
                  sim::Priority::Hardware);
 }
 
@@ -263,7 +263,7 @@ DaggerNic::onNetReceive(net::Packet pkt)
         steerMessage(_batches.take(slot));
     };
     static_assert(sim::EventClosure::relocatesByMemcpy<decltype(steer)>());
-    _eq.schedule(pipelineDelay(), std::move(steer), sim::Priority::Hardware);
+    _eq.schedule(kPipelineDelay, std::move(steer), sim::Priority::Hardware);
 }
 
 void
@@ -367,8 +367,8 @@ DaggerNic::issuePost(unsigned flow, std::size_t frames)
 void
 DaggerNic::pollModeTick()
 {
-    if (_cfg.iface != ic::IfaceKind::Upi)
-        return;
+    // Every interface runs the switch; off UPI both poll-mode terms of
+    // the fabric's profile are zero, so the mode costs nothing there.
     static_assert(kPollWindow > 0);
     // Lazily manage: this is called on every fetch; once per window we
     // evaluate the observed fetch rate and pick the polling mode.

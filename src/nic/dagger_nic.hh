@@ -135,11 +135,6 @@ class DaggerNic
 
     using BatchSlot = sim::SlotTable<std::vector<proto::Frame>>::Slot;
 
-    sim::Tick pipelineDelay() const
-    {
-        return static_cast<sim::Tick>(_cfg.pipelineDepth) * _cfg.clockPeriod;
-    }
-
     unsigned effectiveBatch() const { return std::max(1u, _soft.batchSize); }
 
     // --- CCI-P batching, one policy for both directions (§4.4) ---
@@ -196,6 +191,11 @@ class DaggerNic
     sim::Tick _lastPollEval = 0;
     /// in-order egress pipeline head
     sim::Tick _egressFreeAt = 0;
+
+    /// RPC-unit pipeline latency per direction: 6 cycles (serializer/
+    /// deserializer, connection lookup, load balancer) of the 200 MHz
+    /// unit clock (Table 1)
+    static constexpr sim::Tick kPipelineDelay = 6 * sim::nsToTicks(5);
 
     /// cap on per-flow outstanding fetches; creates natural batching
     /// in auto mode while keeping the bus pipelined (§4.4: "Dagger

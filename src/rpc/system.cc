@@ -4,9 +4,8 @@
 
 namespace dagger::rpc {
 
-DaggerSystem::DaggerSystem(ic::IfaceKind iface, ic::UpiCost upi,
-                           ic::PcieCost pcie)
-    : _fabric(_eq, iface, 0, upi, pcie), _tor(_eq)
+DaggerSystem::DaggerSystem(ic::IfaceKind iface)
+    : _fabric(_eq, ic::profileFor(iface), 0), _tor(_eq)
 {
     // Registration order here and in addNode() is the JSON export's
     // key order.

@@ -80,8 +80,7 @@ class DaggerSystem
 {
   public:
     /** @param iface CPU-NIC interface flavour for all nodes */
-    explicit DaggerSystem(ic::IfaceKind iface = ic::IfaceKind::Upi,
-                          ic::UpiCost upi = {}, ic::PcieCost pcie = {});
+    explicit DaggerSystem(ic::IfaceKind iface = ic::IfaceKind::Upi);
 
     /** Create a node (NIC instance + rings); returns a stable ref. */
     DaggerNode &addNode(nic::NicConfig cfg = {}, nic::SoftConfig soft = {});
@@ -130,7 +129,6 @@ class DaggerSystem
     sim::MetricRegistry &metrics() { return _metrics; }
     const sim::MetricRegistry &metrics() const { return _metrics; }
     const SwCost &swCost() const { return _swCost; }
-    SwCost &swCost() { return _swCost; }
     ReliabilityStats &reliability() { return _reliability; }
     DaggerNode &node(std::size_t i) { return *_nodes.at(i); }
     std::size_t numNodes() const { return _nodes.size(); }
@@ -139,9 +137,8 @@ class DaggerSystem
     sim::Tick
     sendCpuCost(const DaggerNode &node) const
     {
-        const auto &soft = node._nic->softConfig();
-        const unsigned b = std::max(1u, soft.batchSize);
-        return _fabric.hostTxCpuCost(b);
+        const unsigned b = std::max(1u, node._nic->softConfig().batchSize);
+        return _fabric.profile().sendCpu(b);
     }
 
   private:

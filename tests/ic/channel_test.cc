@@ -1,8 +1,11 @@
 /**
  * @file
  * Interconnect channel + fabric tests: serialization, round-robin
- * arbiter fairness, outstanding-window limits, cost-model shapes.
+ * arbiter fairness, outstanding-window limits, and every interface
+ * profile pinned to the paper constants.
  */
+
+#include <array>
 
 #include <gtest/gtest.h>
 
@@ -93,86 +96,91 @@ TEST(Channel, AddPortGrowsArbiter)
     EXPECT_EQ(done_port, 2u);
 }
 
-TEST(CciFabric, FetchLatencyIncludesPropagation)
+/** Every field of one profileFor() row, in picoseconds. */
+struct ProfileRow
 {
-    EventQueue eq;
-    UpiCost upi;
-    CciFabric fabric(eq, IfaceKind::Upi, 1, upi);
-    Tick done_at = 0;
-    fabric.port(0).fetch(1, [&] { done_at = eq.now(); });
-    eq.runAll();
-    // channel (txnOverhead + 1 line) + 400ns fetch latency.
-    EXPECT_EQ(done_at, upi.txnOverhead + upi.lineService + upi.fetchLatency);
+    IfaceKind kind;
+    Tick lineService;
+    Tick txnOverhead;
+    unsigned maxOutstanding;
+    Tick fetchLatency;
+    Tick postLatency;
+    Tick bookkeepLatency;
+    Tick cpuPerRequest;
+    Tick cpuPerBatch;
+    Tick llcPollExtra;
+    Tick ownershipBounceCost;
+    /** sendCpu(B) for B = 1..16. */
+    std::array<Tick, 16> sendCpu;
+};
+
+/** A send cost that batching does not amortize. */
+std::array<Tick, 16>
+flat(Tick cost)
+{
+    std::array<Tick, 16> a;
+    a.fill(cost);
+    return a;
 }
 
-TEST(CciFabric, LlcPollModeAddsLatency)
+TEST(IfaceProfile, PinsEveryFieldAndSendCpuForEveryKind)
 {
-    EventQueue eq;
-    UpiCost upi;
-    CciFabric f1(eq, IfaceKind::Upi, 1, upi);
-    Tick local = 0, llc = 0;
-    f1.port(0).fetch(1, [&] { local = eq.now(); });
-    eq.runAll();
-    EventQueue eq2;
-    CciFabric f2(eq2, IfaceKind::Upi, 1, upi);
-    f2.port(0).setPollMode(PollMode::Llc);
-    f2.port(0).fetch(1, [&] { llc = eq2.now(); });
-    eq2.runAll();
-    EXPECT_EQ(llc, local + upi.llcPollExtra);
-}
-
-TEST(CciFabric, OutstandingWindowLimitsPipelining)
-{
-    EventQueue eq;
-    UpiCost upi;
-    upi.maxOutstanding = 2;
-    CciFabric fabric(eq, IfaceKind::Upi, 1, upi);
-    int completions = 0;
-    for (int i = 0; i < 5; ++i)
-        fabric.port(0).fetch(1, [&] { ++completions; });
-    // Two issued, three stalled behind the window.
-    EXPECT_EQ(fabric.port(0).stalls(), 3u);
-    eq.runAll();
-    EXPECT_EQ(completions, 5);
-}
-
-TEST(CciFabric, PcieDoorbellLatencyExceedsUpi)
-{
-    UpiCost upi;
-    PcieCost pcie;
-    EXPECT_GT(hostTxBaseLatency(IfaceKind::Doorbell, upi, pcie),
-              hostTxBaseLatency(IfaceKind::Upi, upi, pcie));
-    EXPECT_GT(hostTxBaseLatency(IfaceKind::MmioWrite, upi, pcie),
-              hostTxBaseLatency(IfaceKind::Upi, upi, pcie));
-}
-
-TEST(CostModel, CpuCostOrderingMatchesFig10)
-{
-    UpiCost upi;
-    PcieCost pcie;
-    // Per-request CPU cost must yield the Fig. 10 per-core throughput
-    // ordering: MMIO ~ doorbell < doorbell batched < UPI.
-    const Tick mmio = hostTxCpuCost(IfaceKind::MmioWrite, 1, upi, pcie);
-    const Tick db = hostTxCpuCost(IfaceKind::Doorbell, 1, upi, pcie);
-    const Tick db11 = hostTxCpuCost(IfaceKind::DoorbellBatch, 11, upi, pcie);
-    const Tick upi1 = hostTxCpuCost(IfaceKind::Upi, 1, upi, pcie);
-    const Tick upi4 = hostTxCpuCost(IfaceKind::Upi, 4, upi, pcie);
-    EXPECT_GT(mmio, db11);
-    EXPECT_GT(db, db11);
-    EXPECT_GT(upi1, upi4);
-    EXPECT_LT(upi4, db11);
-}
-
-TEST(CostModel, BatchingMonotonicallyReducesDoorbellCost)
-{
-    UpiCost upi;
-    PcieCost pcie;
-    Tick prev = hostTxCpuCost(IfaceKind::DoorbellBatch, 1, upi, pcie);
-    for (unsigned b = 2; b <= 16; ++b) {
-        Tick cur = hostTxCpuCost(IfaceKind::DoorbellBatch, b, upi, pcie);
-        EXPECT_LE(cur, prev) << "b=" << b;
-        prev = cur;
+    // Literal values from the UpiCost/PcieCost paper constants.
+    const ProfileRow rows[] = {
+        // MMIO: 700 ns delivery, 185 ns of MMIO stores per request.
+        {IfaceKind::MmioWrite, 8000, 60000, 128, 700000, 300000, 300000,
+         185000, 0, 0, 0, flat(185000)},
+        // Doorbell: 400 ns doorbell + 450 ns DMA read; 45 ns ring write
+        // + 165 ns MMIO per request.
+        {IfaceKind::Doorbell, 8000, 60000, 128, 850000, 300000, 300000,
+         210000, 0, 0, 0, flat(210000)},
+        // Batched doorbell: 45 + 10 ns per request, 165 ns per batch.
+        {IfaceKind::DoorbellBatch, 8000, 60000, 128, 850000, 300000,
+         300000, 55000, 165000, 0, 0,
+         {220000, 137500, 110000, 96250, 88000, 82500, 78571, 75625, 73333,
+          71500, 70000, 68750, 67692, 66785, 66000, 65312}},
+        // UPI: 400 ns fetch and bookkeeping (§4.4); 42 ns write per
+        // request, 64 ns bookkeeping per batch; the only poll-mode terms.
+        {IfaceKind::Upi, 11900, 8000, 128, 400000, 120000, 400000, 42000,
+         64000, 50000, 25000,
+         {106000, 74000, 63333, 58000, 54800, 52666, 51142, 50000, 49111,
+          48400, 47818, 47333, 46923, 46571, 46266, 46000}},
+        // CXL: 180 ns direct device write, no bookkeeping, no polling.
+        {IfaceKind::Cxl, 11900, 8000, 128, 180000, 120000, 0, 55000, 0, 0,
+         0, flat(55000)},
+    };
+    for (const ProfileRow &row : rows) {
+        SCOPED_TRACE(ifaceName(row.kind));
+        const IfaceProfile p = profileFor(row.kind);
+        EXPECT_EQ(p.lineService, row.lineService);
+        EXPECT_EQ(p.txnOverhead, row.txnOverhead);
+        EXPECT_EQ(p.maxOutstanding, row.maxOutstanding);
+        EXPECT_EQ(p.fetchLatency, row.fetchLatency);
+        EXPECT_EQ(p.postLatency, row.postLatency);
+        EXPECT_EQ(p.bookkeepLatency, row.bookkeepLatency);
+        EXPECT_EQ(p.cpuPerRequest, row.cpuPerRequest);
+        EXPECT_EQ(p.cpuPerBatch, row.cpuPerBatch);
+        EXPECT_EQ(p.llcPollExtra, row.llcPollExtra);
+        EXPECT_EQ(p.ownershipBounceCost, row.ownershipBounceCost);
+        for (unsigned b = 1; b <= 16; ++b)
+            EXPECT_EQ(p.sendCpu(b), row.sendCpu[b - 1]) << "B=" << b;
     }
+
+    // The shapes Fig. 10 rests on.  PCIe delivery is slower than UPI's.
+    const IfaceProfile mmio = profileFor(IfaceKind::MmioWrite);
+    const IfaceProfile db = profileFor(IfaceKind::Doorbell);
+    const IfaceProfile dbb = profileFor(IfaceKind::DoorbellBatch);
+    const IfaceProfile upi = profileFor(IfaceKind::Upi);
+    EXPECT_GT(db.fetchLatency, upi.fetchLatency);
+    EXPECT_GT(mmio.fetchLatency, upi.fetchLatency);
+    // Per-core send cost: MMIO ~ doorbell > batched doorbell > UPI.
+    EXPECT_GT(mmio.sendCpu(1), dbb.sendCpu(11));
+    EXPECT_GT(db.sendCpu(1), dbb.sendCpu(11));
+    EXPECT_GT(upi.sendCpu(1), upi.sendCpu(4));
+    EXPECT_LT(upi.sendCpu(4), dbb.sendCpu(11));
+    // Batching never makes a doorbell dearer.
+    for (unsigned b = 2; b <= 16; ++b)
+        EXPECT_LE(dbb.sendCpu(b), dbb.sendCpu(b - 1)) << "B=" << b;
 }
 
 TEST(CostModel, IfaceNamesAreStable)
@@ -183,10 +191,53 @@ TEST(CostModel, IfaceNamesAreStable)
     EXPECT_STREQ(ifaceName(IfaceKind::DoorbellBatch), "DoorbellBatch");
 }
 
+TEST(CciFabric, FetchLatencyIncludesPropagation)
+{
+    EventQueue eq;
+    const IfaceProfile upi = profileFor(IfaceKind::Upi);
+    CciFabric fabric(eq, upi);
+    Tick done_at = 0;
+    fabric.port(0).fetch(1, [&] { done_at = eq.now(); });
+    eq.runAll();
+    // channel (txnOverhead + 1 line) + 400ns fetch latency.
+    EXPECT_EQ(done_at, upi.txnOverhead + upi.lineService + upi.fetchLatency);
+}
+
+TEST(CciFabric, LlcPollModeAddsLatency)
+{
+    EventQueue eq;
+    const IfaceProfile upi = profileFor(IfaceKind::Upi);
+    CciFabric f1(eq, upi);
+    Tick local = 0, llc = 0;
+    f1.port(0).fetch(1, [&] { local = eq.now(); });
+    eq.runAll();
+    EventQueue eq2;
+    CciFabric f2(eq2, upi);
+    f2.port(0).setPollMode(PollMode::Llc);
+    f2.port(0).fetch(1, [&] { llc = eq2.now(); });
+    eq2.runAll();
+    EXPECT_EQ(llc, local + upi.llcPollExtra);
+}
+
+TEST(CciFabric, OutstandingWindowLimitsPipelining)
+{
+    EventQueue eq;
+    IfaceProfile upi = profileFor(IfaceKind::Upi);
+    upi.maxOutstanding = 2;
+    CciFabric fabric(eq, upi);
+    int completions = 0;
+    for (int i = 0; i < 5; ++i)
+        fabric.port(0).fetch(1, [&] { ++completions; });
+    // Two issued, three stalled behind the window.
+    EXPECT_EQ(fabric.port(0).stalls(), 3u);
+    eq.runAll();
+    EXPECT_EQ(completions, 5);
+}
+
 TEST(CciFabric, ArbiterSharesFairlyBetweenTwoNics)
 {
     EventQueue eq;
-    CciFabric fabric(eq, IfaceKind::Upi, 2);
+    CciFabric fabric(eq, profileFor(IfaceKind::Upi), 2);
     int a = 0, b = 0;
     for (int i = 0; i < 200; ++i) {
         fabric.port(0).fetch(1, [&] { ++a; });

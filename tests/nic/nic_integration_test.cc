@@ -5,6 +5,8 @@
  * virtualized multi-NIC arbiter (Fig. 14).
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "rpc/client.hh"
@@ -19,8 +21,9 @@ using sim::usToTicks;
 
 struct NicRig
 {
-    explicit NicRig(unsigned batch, bool auto_batch = false)
-        : sys(ic::IfaceKind::Upi), cpus(sys.eq(), 2)
+    explicit NicRig(unsigned batch, bool auto_batch = false,
+                    ic::IfaceKind iface = ic::IfaceKind::Upi)
+        : sys(iface), cpus(sys.eq(), 2)
     {
         nic::NicConfig cfg;
         cfg.numFlows = 1;
@@ -139,6 +142,46 @@ TEST(NicPolling, SwitchesToLlcUnderLoad)
     }
     rig.sys.eq().runFor(usToTicks(60));
     EXPECT_EQ(port.pollMode(), ic::PollMode::Llc);
+}
+
+/**
+ * Per-call RTTs of SwitchesToLlcUnderLoad's ~6 Mrps burst over
+ * @p iface, with both NICs' LLC-poll threshold at @p threshold_mrps.
+ */
+std::vector<sim::Tick>
+burstRtts(ic::IfaceKind iface, double threshold_mrps)
+{
+    NicRig rig(4, false, iface);
+    for (DaggerNode *node : {rig.clientNode, rig.serverNode})
+        node->nicDev().softConfig().llcPollThresholdMrps = threshold_mrps;
+    std::vector<sim::Tick> rtts(300, 0);
+    for (int i = 0; i < 300; ++i) {
+        const sim::Tick at = sim::nsToTicks(160.0 * i);
+        rig.sys.eq().scheduleAt(at, [&rig, &rtts, i, at] {
+            std::uint64_t v = i;
+            rig.client->callPod(1, v, [&rig, &rtts, i, at](
+                                          const proto::RpcMessage &) {
+                rtts[i] = rig.sys.eq().now() - at;
+            });
+        });
+    }
+    rig.sys.eq().runFor(usToTicks(200));
+    EXPECT_EQ(rig.client->responses(), 300u);
+    EXPECT_EQ(rig.clientNode->nicDev().cciPort().pollMode(),
+              threshold_mrps == 0 ? ic::PollMode::Llc
+                                  : ic::PollMode::LocalCache);
+    return rtts;
+}
+
+TEST(NicPolling, ModeCostsNothingOffUpi)
+{
+    // Off UPI the profile's poll-mode terms are zero, so forcing LLC
+    // polling on every window and never moves no call by a tick.
+    EXPECT_EQ(burstRtts(ic::IfaceKind::DoorbellBatch, 0),
+              burstRtts(ic::IfaceKind::DoorbellBatch, 1e9));
+    // On UPI the same switch does move them.
+    EXPECT_NE(burstRtts(ic::IfaceKind::Upi, 0),
+              burstRtts(ic::IfaceKind::Upi, 1e9));
 }
 
 TEST(NicPolling, StaysLocalAtLightLoad)

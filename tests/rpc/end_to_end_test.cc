@@ -35,7 +35,6 @@ struct Rig
     {
         nic::NicConfig cfg;
         cfg.numFlows = 2;
-        cfg.iface = iface;
         nic::SoftConfig soft;
         soft.batchSize = soft_batch;
         soft.autoBatch = soft_batch == 0;

@@ -72,7 +72,6 @@ runSweepPoint(const SweepParam &param)
     CpuSet cpus(sys.eq(), 2);
     nic::NicConfig cfg;
     cfg.numFlows = 1;
-    cfg.iface = param.iface;
     cfg.txRingEntries = param.ring;
     cfg.rxRingEntries = param.ring;
     nic::SoftConfig soft;
@@ -189,7 +188,6 @@ TEST_P(DoorbellBatchLatency, TimeoutBoundsSingleRequestRtt)
     CpuSet cpus(sys.eq(), 2);
     nic::NicConfig cfg;
     cfg.numFlows = 1;
-    cfg.iface = ic::IfaceKind::DoorbellBatch;
     nic::SoftConfig soft;
     soft.batchSize = batch;
 
