@@ -165,22 +165,39 @@ TEST(IfaceProfile, PinsEveryFieldAndSendCpuForEveryKind)
         for (unsigned b = 1; b <= 16; ++b)
             EXPECT_EQ(p.sendCpu(b), row.sendCpu[b - 1]) << "B=" << b;
     }
+}
 
-    // The shapes Fig. 10 rests on.  PCIe delivery is slower than UPI's.
-    const IfaceProfile mmio = profileFor(IfaceKind::MmioWrite);
-    const IfaceProfile db = profileFor(IfaceKind::Doorbell);
+TEST(CciFabric, PcieDoorbellLatencyExceedsUpi)
+{
+    const Tick upi = profileFor(IfaceKind::Upi).fetchLatency;
+    EXPECT_GT(profileFor(IfaceKind::Doorbell).fetchLatency, upi);
+    EXPECT_GT(profileFor(IfaceKind::MmioWrite).fetchLatency, upi);
+}
+
+TEST(CostModel, CpuCostOrderingMatchesFig10)
+{
+    // Per-request CPU cost must yield the Fig. 10 per-core throughput
+    // ordering: MMIO ~ doorbell < doorbell batched < UPI.
+    const Tick mmio = profileFor(IfaceKind::MmioWrite).sendCpu(1);
+    const Tick db = profileFor(IfaceKind::Doorbell).sendCpu(1);
+    const Tick db11 = profileFor(IfaceKind::DoorbellBatch).sendCpu(11);
+    const Tick upi1 = profileFor(IfaceKind::Upi).sendCpu(1);
+    const Tick upi4 = profileFor(IfaceKind::Upi).sendCpu(4);
+    EXPECT_GT(mmio, db11);
+    EXPECT_GT(db, db11);
+    EXPECT_GT(upi1, upi4);
+    EXPECT_LT(upi4, db11);
+}
+
+TEST(CostModel, BatchingMonotonicallyReducesDoorbellCost)
+{
     const IfaceProfile dbb = profileFor(IfaceKind::DoorbellBatch);
-    const IfaceProfile upi = profileFor(IfaceKind::Upi);
-    EXPECT_GT(db.fetchLatency, upi.fetchLatency);
-    EXPECT_GT(mmio.fetchLatency, upi.fetchLatency);
-    // Per-core send cost: MMIO ~ doorbell > batched doorbell > UPI.
-    EXPECT_GT(mmio.sendCpu(1), dbb.sendCpu(11));
-    EXPECT_GT(db.sendCpu(1), dbb.sendCpu(11));
-    EXPECT_GT(upi.sendCpu(1), upi.sendCpu(4));
-    EXPECT_LT(upi.sendCpu(4), dbb.sendCpu(11));
-    // Batching never makes a doorbell dearer.
-    for (unsigned b = 2; b <= 16; ++b)
-        EXPECT_LE(dbb.sendCpu(b), dbb.sendCpu(b - 1)) << "B=" << b;
+    Tick prev = dbb.sendCpu(1);
+    for (unsigned b = 2; b <= 16; ++b) {
+        const Tick cur = dbb.sendCpu(b);
+        EXPECT_LE(cur, prev) << "b=" << b;
+        prev = cur;
+    }
 }
 
 TEST(CostModel, IfaceNamesAreStable)
